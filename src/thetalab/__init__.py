@@ -63,4 +63,5 @@ from .theta import (
     qh_rank_profile,
     random_tau,
     theta,
+    theta_table,
 )

@@ -70,10 +70,10 @@ def _load_tau(path) -> PeriodMatrix:
 
 def cmd_count(args) -> int:
     tau = _load_tau(args.tau)
-    result = count_torsion(tau, args.n, tol=args.tol)
-    out = result.to_json()
+    table = constant_table(tau, args.n, tol=args.tol)
+    out = count_torsion(tau, args.n, table=table).to_json()
     if args.table:
-        out["table"] = constant_table(tau, args.n, tol=args.tol).to_json()["entries"]
+        out["table"] = table.to_json()["entries"]
     _emit(out, args.format)
     return EXIT_OK
 
@@ -153,9 +153,7 @@ def cmd_h0(args) -> int:
     elif args.g == 3:
         if args.budget is None or args.seed is None:
             raise SystemExit("g = 3 requires --budget and --seed")
-        report = h0_probe(
-            3, budget=args.budget, seed=args.seed, orbit_reduction=not args.no_orbit_reduction
-        )
+        report = h0_probe(3, budget=args.budget, seed=args.seed)
     else:
         raise SystemExit("h0 supports g in {2, 3}")
     _emit(report.to_json(), "json")
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-orbit-reduction", action="store_true")
     p.set_defaults(func=cmd_h0)
 
     p = sub.add_parser("bounds", help="closed-form bound table, optionally vs a count")

@@ -79,18 +79,17 @@ def _minus_lambda_eye(data, lam):
     ]
 
 
-def exact_rank(mat) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination.
-
-    Entries must be exact integers; intermediate values are minors of the
-    input, so python's arbitrary-precision ints keep everything exact.
+def _bareiss(mat):
+    """Bareiss fraction-free elimination of an integer matrix given as rows:
+    (rank, swap sign, last pivot).  Intermediate values are minors of the
+    input, so python's arbitrary-precision ints keep everything exact; for a
+    square matrix of full rank, sign * last pivot is the determinant.
     """
-    if isinstance(mat, IntMatrix):
-        mat = mat.data
     m = [[int(x) for x in row] for row in mat]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
@@ -98,6 +97,7 @@ def exact_rank(mat) -> int:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         p = m[rank][col]
         mp = m[rank]
         for r in range(rank + 1, nrows):
@@ -112,36 +112,20 @@ def exact_rank(mat) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign, prev
+
+
+def exact_rank(mat) -> int:
+    """Rank over the rationals by Bareiss fraction-free elimination."""
+    return _bareiss(mat.data if isinstance(mat, IntMatrix) else mat)[0]
 
 
 def exact_det(mat) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
     if isinstance(mat, IntMatrix):
         mat = mat.data
-    m = [[int(x) for x in row] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            for c in range(col, n):
-                q, rem = divmod(p * m[r][c] - f * m[col][c], prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division not exact")
-                m[r][c] = q
-        prev = p
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _bareiss(mat)
+    return sign * last if rank == len(mat) else 0
 
 
 def eigen_multiplicity(mat, lam: int) -> int:

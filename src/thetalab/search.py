@@ -14,13 +14,12 @@ elimination over the integers; floating point is never involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .characteristics import act, isotropic_vectors, symplectic_generators
 from .errors import VerificationError
-from .matrices import build_B, build_Bk, exact_det, exact_rank
+from .matrices import build_B, build_Bk, exact_rank
 
 MOD_P = 2147483647  # 2^31 - 1; products of residues stay inside int64
 
@@ -88,12 +87,6 @@ def principal_rank(b, mask) -> int:
     return exact_rank(sub)
 
 
-def _is_positive_definite(sub) -> bool:
-    """Exact Sylvester test on a symmetric integer matrix."""
-    n = len(sub)
-    return all(exact_det([row[: k + 1] for row in sub[: k + 1]]) > 0 for k in range(n))
-
-
 def h0_exhaustive(g: int = 2) -> SearchReport:
     """Scan every principal submatrix of B at g = 2 with exact ranks."""
     if g != 2:
@@ -122,18 +115,19 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
     report.h0_upper = h0
     report.witnesses = sorted(witnesses)
 
-    # positive definiteness of every principal submatrix of order <= 2^g - 1
+    # B = N N^t is a Gram matrix, so a principal submatrix of full rank is
+    # positive definite; the exact scan shows every one of order <= 2^g - 1
+    # has full rank
     pd_cap = need - 1
     for k in range(1, pd_cap + 1):
-        for idx in combinations(range(kp), k):
-            sub = [[b.data[i][j] for j in idx] for i in idx]
-            if not _is_positive_definite(sub):
-                raise VerificationError(
-                    f"principal submatrix {idx} of order {k} is not positive definite"
-                )
+        if min_rank[k] != k:
+            raise VerificationError(
+                f"a principal submatrix of order {k} has rank {min_rank[k]} < {k}"
+            )
     report.orders_certified_infeasible = list(range(1, pd_cap + 1))
     report.notes.append(
-        f"all principal submatrices of order <= {pd_cap} are positive definite (exact minors)"
+        f"all principal submatrices of order <= {pd_cap} have full exact rank, "
+        "hence are positive definite (B = N N^t is a Gram matrix)"
     )
     return report
 
@@ -216,7 +210,7 @@ def canonicalize_mask(indices, perms):
     return best
 
 
-def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0, orbit_reduction: bool = True) -> SearchReport:
+def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport:
     """Randomized refutation probe at g = 3.
 
     Establishes the certified upper bound (order-27 witness of rank 19),
@@ -270,7 +264,7 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0, orbit_reduction
     orders = np.arange(need, report.h0_upper)
     used = 0
     best = {}  # order -> (slack, mask)
-    perms = _perm_action_on_kplus(g) if orbit_reduction else None
+    perms = _perm_action_on_kplus(g)
     seen = set()
 
     def eval_batch(masks):
@@ -301,32 +295,28 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0, orbit_reduction
     # minimization would dominate the runtime)
     sample_budget = int(budget * 0.8)
     batch = 4096
-    while used < sample_budget:
+
+    def sample(limit):
+        """One batch of uniform masks of a random order, up to limit used."""
         k = int(rng.choice(orders))
-        count = min(batch, sample_budget - used)
-        masks = [
+        eval_batch([
             tuple(sorted(rng.choice(kp, size=k, replace=False).tolist()))
-            for _ in range(count)
-        ]
-        eval_batch(masks)
+            for _ in range(min(batch, limit - used))
+        ])
+
+    while used < sample_budget:
+        sample(sample_budget)
 
     # greedy swap refinement from the most promising masks per order;
     # canonicalization dedups restart seeds that land in an explored orbit
     while used < budget and best:
         start_order = min(best, key=lambda k: (best[k][0], k))
         slack0, mask0 = best[start_order]
-        if perms is not None:
-            canon = canonicalize_mask(mask0, perms)
-            if canon in seen:
-                k = int(rng.choice(orders))
-                masks = [
-                    tuple(sorted(rng.choice(kp, size=k, replace=False).tolist()))
-                    for _ in range(min(batch, budget - used))
-                ]
-                eval_batch(masks)
-                continue
-            seen.add(canon)
-        improved = False
+        canon = canonicalize_mask(mask0, perms)
+        if canon in seen:
+            sample(budget)
+            continue
+        seen.add(canon)
         current = list(mask0)
         inside = set(current)
         neighbors = []
@@ -343,15 +333,9 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0, orbit_reduction
         before = best.get(start_order, (10**9, ()))[0]
         eval_batch(neighbors)
         after = best.get(start_order, (10**9, ()))[0]
-        improved = after < before
-        if not improved:
+        if after >= before:
             # plateau: random restart consumes budget through the sampler
-            k = int(rng.choice(orders))
-            masks = [
-                tuple(sorted(rng.choice(kp, size=k, replace=False).tolist()))
-                for _ in range(min(batch, budget - used))
-            ]
-            eval_batch(masks)
+            sample(budget)
 
     report.budget_used = used
     for k, (slack, _mask) in sorted(best.items()):

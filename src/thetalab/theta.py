@@ -13,7 +13,6 @@ the returned value is theta at the original z.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -39,14 +38,6 @@ VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
 RANK_ZERO_REL = 1e-8
 RANK_AMBIG_REL = 1e-4
-
-
-def worker_count() -> int:
-    """Worker cap from THETALAB_THREADS (>= 1); default 1."""
-    try:
-        return max(1, int(os.environ.get("THETALAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class PeriodMatrix:
@@ -174,6 +165,71 @@ def _series_tail(lam: float, c: float, radius: int, g: int) -> float:
             return math.inf
 
 
+def theta_table(
+    tau: PeriodMatrix, z, chars, tol: float = DEFAULT_TOL, radius_cap: int = RADIUS_CAP
+) -> list:
+    """Evaluate theta[delta; eps](tau, z) for every characteristic in chars.
+
+    The reduction of z, the summation radius and the tail majorant depend
+    only on (tau, z): delta, eps and the integer shift b are real, so they
+    leave |factor| unchanged.  Characteristics sharing delta share one
+    lattice box and its quadratic form; each eps adds its own linear phase.
+    Returns one ThetaValue per characteristic, in the order given.
+    """
+    if any(ch.g != tau.g for ch in chars):
+        raise ValueError("characteristic and period matrix dimensions differ")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    g = tau.g
+    z = np.asarray(z, dtype=complex).reshape(g)
+
+    # quasi-periodic reduction: z = z_red + tau a + b with p, q in [-1/2, 1/2)
+    p = np.linalg.solve(tau.im, z.imag)
+    q = z.real - tau.re @ p
+    a = np.floor(p + 0.5).astype(np.int64)
+    b = np.floor(q + 0.5).astype(np.int64)
+    z_red = z - tau.mat @ a - b
+    shift = -1j * math.pi * (a @ tau.mat @ a)
+    factors = [
+        np.exp(shift - 2j * math.pi * (a @ (z_red + ch.eps)) + 2j * math.pi * (ch.delta @ b))
+        for ch in chars
+    ]
+    if any(f == 0 for f in factors):
+        raise ThetaLabError("quasi-periodicity factor underflowed to zero")
+
+    lam = tau.lam_min
+    c = float(np.linalg.norm(z_red.imag))
+    scale = max((abs(f) for f in factors), default=0.0)
+    radius = 6
+    while True:
+        tail = _series_tail(lam, c, radius, g)
+        if tail * scale <= tol:
+            break
+        if radius >= radius_cap:
+            raise RadiusCapError(
+                f"tolerance {tol} unreachable within radius cap {radius_cap}"
+            )
+        radius = min(radius_cap, radius + max(4, radius // 2))
+
+    groups = {}
+    for i, ch in enumerate(chars):
+        groups.setdefault(tuple(ch.delta), []).append(i)
+    out = [None] * len(chars)
+    for members in groups.values():
+        delta = chars[members[0]].delta
+        center = np.rint(-delta).astype(np.int64)
+        axes = [np.arange(ci - radius, ci + radius + 1) for ci in center]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+        u = grid + delta
+        quad = 1j * math.pi * np.einsum("ki,ij,kj->k", u, tau.mat, u)
+        for i in members:
+            lin = u @ (z_red + chars[i].eps)
+            s = np.exp(quad + 2j * math.pi * lin).sum()
+            f = factors[i]
+            out[i] = ThetaValue(complex(f * s), float(tail * abs(f)), radius)
+    return out
+
+
 def theta(
     tau: PeriodMatrix,
     z,
@@ -182,51 +238,7 @@ def theta(
     radius_cap: int = RADIUS_CAP,
 ) -> ThetaValue:
     """Evaluate theta[delta; eps](tau, z) with a certified truncation bound."""
-    if char.g != tau.g:
-        raise ValueError("characteristic and period matrix dimensions differ")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    g = tau.g
-    z = np.asarray(z, dtype=complex).reshape(g)
-    delta = char.delta
-    eps = char.eps
-
-    # quasi-periodic reduction: z = z_red + tau a + b with p, q in [-1/2, 1/2)
-    p = np.linalg.solve(tau.im, z.imag)
-    q = z.real - tau.re @ p
-    a = np.floor(p + 0.5).astype(np.int64)
-    b = np.floor(q + 0.5).astype(np.int64)
-    z_red = z - tau.mat @ a - b
-    factor = np.exp(
-        -1j * math.pi * (a @ tau.mat @ a)
-        - 2j * math.pi * (a @ (z_red + eps))
-        + 2j * math.pi * (delta @ b)
-    )
-    if factor == 0:
-        raise ThetaLabError("quasi-periodicity factor underflowed to zero")
-
-    lam = tau.lam_min
-    c = float(np.linalg.norm(z_red.imag))
-    center = np.rint(-delta).astype(np.int64)
-
-    radius = 6
-    while True:
-        tail = _series_tail(lam, c, radius, g)
-        if tail * abs(factor) <= tol:
-            break
-        if radius >= radius_cap:
-            raise RadiusCapError(
-                f"tolerance {tol} unreachable within radius cap {radius_cap}"
-            )
-        radius = min(radius_cap, radius + max(4, radius // 2))
-
-    axes = [np.arange(ci - radius, ci + radius + 1) for ci in center]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    u = grid + delta
-    quad = np.einsum("ki,ij,kj->k", u, tau.mat, u)
-    lin = u @ (z_red + eps)
-    s = np.exp(1j * math.pi * quad + 2j * math.pi * lin).sum()
-    return ThetaValue(complex(factor * s), float(tail * abs(factor)), radius)
+    return theta_table(tau, z, [char], tol, radius_cap)[0]
 
 
 def classify_magnitudes(mags):
@@ -300,25 +312,12 @@ class ConstantTable:
         }
 
 
-def _eval_many(tau, z, chars, tol):
-    nworkers = worker_count()
-    if nworkers > 1 and len(chars) > 8:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            vals = list(pool.map(lambda ch: theta(tau, z, ch, tol), chars))
-    else:
-        vals = [theta(tau, z, ch, tol) for ch in chars]
-    return vals
-
-
 def constant_table(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> ConstantTable:
     """Table of all n^{2g} theta constants theta[delta; eps](tau, 0)."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     chars = enumerate_characteristics(tau.g, n)
-    zero = np.zeros(tau.g)
-    vals = _eval_many(tau, zero, chars, tol)
+    vals = theta_table(tau, np.zeros(tau.g), chars, tol)
     return ConstantTable(
         tau,
         n,
@@ -368,9 +367,15 @@ class TorsionCount:
         }
 
 
-def count_torsion(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> TorsionCount:
-    """Theta(n): number of vanishing level-n theta constants at tau."""
-    table = constant_table(tau, n, tol)
+def count_torsion(
+    tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL, table: ConstantTable = None
+) -> TorsionCount:
+    """Theta(n): number of vanishing level-n theta constants at tau.
+
+    Pass the table when it is already evaluated at (tau, n) to count from it.
+    """
+    if table is None:
+        table = constant_table(tau, n, tol)
     flags = table.vanishing_flags()
     certified = certified_diagonal_flags(tau, n)
     if certified is not None and not np.array_equal(flags, certified):
@@ -394,7 +399,7 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
     y = np.asarray(y, dtype=complex).reshape(tau.g)
     chars = enumerate_characteristics(tau.g, 2)
-    vals = _eval_many(tau, 2 * y, chars, tol)
+    vals = theta_table(tau, 2 * y, chars, tol)
     flags = classify_magnitudes([abs(v.value) for v in vals])
     return int((~flags).sum())
 
@@ -415,14 +420,14 @@ def addition_residual(
     tau2 = tau.scaled(2)
     lhs = theta(tau, np.zeros(g), char, tol).value * theta(tau, 2 * z, char, tol).value
 
-    cache = {}
-    for s in product((0, 1), repeat=g):
-        cache[s] = theta(tau2, 2 * z, Characteristic(g, 2, s, (0,) * g), tol).value
+    sigmas = list(product((0, 1), repeat=g))
+    chars = [Characteristic(g, 2, s, (0,) * g) for s in sigmas]
+    at2tau = {s: v.value for s, v in zip(sigmas, theta_table(tau2, 2 * z, chars, tol))}
     rhs = 0j
-    for s in product((0, 1), repeat=g):
+    for s in sigmas:
         sign = (-1) ** (sum(x * y for x, y in zip(char.b, s)) % 2)
         ds = tuple((x + y) % 2 for x, y in zip(char.a, s))
-        rhs += sign * cache[s] * cache[ds]
+        rhs += sign * at2tau[s] * at2tau[ds]
     return abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
 
 
@@ -440,13 +445,10 @@ def fay_relation_residual(
     iso = isotropic_vectors(g)
     if n.row_labels != iso:
         raise VerificationError("N row labels do not match the canonical K+ order")
-    terms = []
-    for i, vec in enumerate(iso):
-        v = n.entry(i, column)
-        ch = vec.to_characteristic()
-        t0 = theta(tau, np.zeros(g), ch, tol).value
-        t2 = theta(tau, 2 * z, ch, tol).value
-        terms.append(v * t0 * t0 * t2 * t2)
+    chars = [vec.to_characteristic() for vec in iso]
+    at0 = [v.value for v in theta_table(tau, np.zeros(g), chars, tol)]
+    at2z = [v.value for v in theta_table(tau, 2 * z, chars, tol)]
+    terms = [n.entry(i, column) * t0 * t0 * t2 * t2 for i, (t0, t2) in enumerate(zip(at0, at2z))]
     total = sum(terms)
     return abs(total) / (1 + max(abs(t) for t in terms))
 
@@ -498,7 +500,6 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
     if g > 3:
         raise ValueError("qh_rank_profile supported for g <= 3")
     vecs = list(product(range(n), repeat=g))
-    zero = np.zeros(g)
     # phase[d, e] = exp(2 pi i (a . e) / n) for delta = a/n, eps = e/n
     phases = np.exp(
         2j
@@ -506,12 +507,11 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
         / n
         * np.array([[sum(x * y for x, y in zip(d, e)) for e in vecs] for d in vecs])
     )
-    ranks = []
-    for mu in vecs:
-        consts = np.array(
-            [theta(tau, zero, Characteristic(g, n, d, mu), tol).value for d in vecs]
-        )
-        ranks.append(_numerical_rank(consts[:, None] * phases))
-    theta_n = count_torsion(tau, n, tol).count
+    # enumerate_characteristics orders a||b with a most significant, so
+    # row d, column mu of the reshaped table is theta[d/n; mu/n](tau, 0)
+    table = constant_table(tau, n, tol)
+    consts = table.values.reshape(len(vecs), len(vecs))
+    ranks = [_numerical_rank(consts[:, j, None] * phases) for j in range(len(vecs))]
+    theta_n = count_torsion(tau, n, table=table).count
     defect = n ** (2 * g) - sum(ranks) - theta_n
     return QHProfile(n=n, g=g, ranks=ranks, theta_n=theta_n, defect=defect)

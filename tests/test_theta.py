@@ -17,6 +17,7 @@ from thetalab.theta import (
     qh_rank_profile,
     random_tau,
     theta,
+    theta_table,
 )
 
 
@@ -96,6 +97,33 @@ def test_theta_level_three_characteristic():
     got = theta(tau, np.zeros(1), c)
     want = naive_theta(c, tau.mat, np.zeros(1), 12)
     assert abs(got.value - want) < 1e-11
+
+
+def test_constant_table_level_three_matches_naive_sum():
+    # several eps per delta, and delta = 2/3 puts the box centre at -1
+    tau = random_tau(2, 4)
+    table = constant_table(tau, 3)
+    for c, got in zip(table.chars, table.values):
+        want = naive_theta(c, tau.mat, np.zeros(2), 10)
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+        assert got == theta(tau, np.zeros(2), c).value
+
+
+def test_theta_table_level_two_offlattice_z_matches_naive_sum():
+    tau = random_tau(2, 7)
+    z = tau.mat @ np.array([1.0, -1.0]) + np.array([0.3, -0.2]) + 0.05j
+    # the reduction must carry a nonzero quasi-periodic shift
+    assert np.any(np.floor(np.linalg.solve(tau.im, z.imag) + 0.5) != 0)
+    chars = enumerate_characteristics(2, 2)
+    for c, got in zip(chars, theta_table(tau, z, chars)):
+        want = naive_theta(c, tau.mat, z, 14)
+        assert abs(got.value - want) < 1e-9 * max(1.0, abs(want))
+
+
+def test_theta_table_rejects_wrong_genus():
+    chars = [Characteristic(2, 2, (0, 0), (0, 0)), Characteristic(1, 2, (0,), (1,))]
+    with pytest.raises(ValueError, match="dimensions differ"):
+        theta_table(random_tau(2, 3), np.zeros(2), chars)
 
 
 def test_odd_constant_vanishes():
