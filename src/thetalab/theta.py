@@ -34,6 +34,9 @@ from .matrices import build_M, split_blocks
 
 DEFAULT_TOL = 1e-12
 RADIUS_CAP = 60
+# largest summation box (2r+1)^g: a box costs about 100 bytes a point, and
+# the boxes of g <= 3 in normal use hold a few thousand points
+MAX_BOX_POINTS = 1_000_000
 VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
 RANK_ZERO_REL = 1e-8
@@ -171,9 +174,16 @@ def theta_table(
     """Evaluate theta[delta; eps](tau, z) for every characteristic in chars.
 
     The reduction of z, the summation radius and the tail majorant depend
-    only on (tau, z): delta, eps and the integer shift b are real, so they
-    leave |factor| unchanged.  Characteristics sharing delta share one
-    lattice box and its quadratic form; each eps adds its own linear phase.
+    only on (tau, z): delta, eps and the integer shifts are real, so they
+    leave |factor| unchanged.  Characteristics sharing (n, a) share one
+    lattice box, and each lattice point costs one exponential through the
+    residue identity
+
+        theta[a/n; b/n](tau, z) = e(a.b/n^2) sum_r S_a(r) e(r.b/n),
+
+    where e(x) = exp(2 pi i x) and S_a(r) sums the weight
+    exp(pi i u^t tau u + 2 pi i u.z) over lattice points m = r (mod n), with
+    u = m + a/n.  Each eps then costs an n^g-term phase sum over the bins.
     Returns one ThetaValue per characteristic, in the order given.
     """
     if any(ch.g != tau.g for ch in chars):
@@ -183,23 +193,20 @@ def theta_table(
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
 
-    # quasi-periodic reduction: z = z_red + tau a + b with p, q in [-1/2, 1/2)
+    # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
     p = np.linalg.solve(tau.im, z.imag)
     q = z.real - tau.re @ p
-    a = np.floor(p + 0.5).astype(np.int64)
-    b = np.floor(q + 0.5).astype(np.int64)
-    z_red = z - tau.mat @ a - b
-    shift = -1j * math.pi * (a @ tau.mat @ a)
-    factors = [
-        np.exp(shift - 2j * math.pi * (a @ (z_red + ch.eps)) + 2j * math.pi * (ch.delta @ b))
-        for ch in chars
-    ]
-    if any(f == 0 for f in factors):
+    s_tau = np.floor(p + 0.5).astype(np.int64)
+    s_one = np.floor(q + 0.5).astype(np.int64)
+    z_red = z - tau.mat @ s_tau - s_one
+    # theta(z) = base e((a.s_one - s_tau.b)/n) theta(z_red) for characteristic (a, b)
+    base = np.exp(-1j * math.pi * (s_tau @ tau.mat @ s_tau) - 2j * math.pi * (s_tau @ z_red))
+    if base == 0:
         raise ThetaLabError("quasi-periodicity factor underflowed to zero")
 
     lam = tau.lam_min
     c = float(np.linalg.norm(z_red.imag))
-    scale = max((abs(f) for f in factors), default=0.0)
+    scale = abs(base)
     radius = 6
     while True:
         tail = _series_tail(lam, c, radius, g)
@@ -210,23 +217,50 @@ def theta_table(
                 f"tolerance {tol} unreachable within radius cap {radius_cap}"
             )
         radius = min(radius_cap, radius + max(4, radius // 2))
+    points = (2 * radius + 1) ** g
+    if points > MAX_BOX_POINTS:
+        raise RadiusCapError(
+            f"summation box of {points} lattice points at radius {radius} "
+            f"exceeds the cap of {MAX_BOX_POINTS}"
+        )
+    tail_bound = float(tail * scale)
 
     groups = {}
     for i, ch in enumerate(chars):
-        groups.setdefault(tuple(ch.delta), []).append(i)
+        groups.setdefault((ch.n, ch.a), []).append(i)
+    offsets = np.arange(-radius, radius + 1)
     out = [None] * len(chars)
-    for members in groups.values():
-        delta = chars[members[0]].delta
+    for (n, a_int), members in groups.items():
+        a_vec = np.array(a_int, dtype=np.int64)
+        delta = a_vec / n
         center = np.rint(-delta).astype(np.int64)
-        axes = [np.arange(ci - radius, ci + radius + 1) for ci in center]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-        u = grid + delta
-        quad = 1j * math.pi * np.einsum("ki,ij,kj->k", u, tau.mat, u)
-        for i in members:
-            lin = u @ (z_red + chars[i].eps)
-            s = np.exp(quad + 2j * math.pi * lin).sum()
-            f = factors[i]
-            out[i] = ThetaValue(complex(f * s), float(tail * abs(f)), radius)
+        # open grid: m_i runs over one axis of the box, u_i = m_i + delta_i
+        m = np.ix_(*[offsets + ci for ci in center])
+        u = [mi + di for mi, di in zip(m, delta)]
+        # u^t tau u + 2 u.z, nested axis by axis so every product broadcasts
+        expo = sum(
+            u[i]
+            * (
+                tau.mat[i, i] * u[i]
+                + 2 * z_red[i]
+                + 2 * sum(tau.mat[i, j] * u[j] for j in range(i + 1, g))
+            )
+            for i in range(g)
+        )
+        weight = np.exp(1j * math.pi * expo).ravel()
+        # bin r = m mod n, flattened base n with the first coordinate most significant
+        bins = sum((mi % n) * n ** (g - 1 - i) for i, mi in enumerate(m)).ravel()
+        sums = np.bincount(bins, weight.real, n**g) + 1j * np.bincount(bins, weight.imag, n**g)
+        residues = np.indices((n,) * g).reshape(g, -1).T
+        # every phase is e(k / n^2): k = n r.b + a.b + n (a.s_one - s_tau.b)
+        b_mat = np.array([chars[i].b for i in members], dtype=np.int64)
+        k = n * (b_mat @ residues.T) + (
+            b_mat @ a_vec + n * (a_vec @ s_one - b_mat @ s_tau)
+        )[:, None]
+        roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
+        values = base * (roots[k % (n * n)] * sums).sum(axis=1)
+        for i, v in zip(members, values):
+            out[i] = ThetaValue(complex(v), tail_bound, radius)
     return out
 
 
@@ -405,42 +439,52 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
 
 
 def addition_residual(
-    tau: PeriodMatrix, z, char: Characteristic, tol: float = DEFAULT_TOL
+    tau: PeriodMatrix, z, char: Characteristic = None, tol: float = DEFAULT_TOL
 ) -> float:
     """Normalized residual of the level-2 addition formula.
 
     theta[d;e](tau,0) theta[d;e](tau,2z)
       = sum_sigma (-1)^{<2e,2sigma>} theta[s;0](2tau,2z) theta[d+s;0](2tau,2z)
-    with sigma running over half-integer vectors.
+    with sigma running over half-integer vectors.  With char None, the
+    largest residual over all 4^g half-integer characteristics; each of the
+    three tables is evaluated once for all of them.
     """
-    if char.n != 2:
+    if char is not None and char.n != 2:
         raise ValueError("the addition formula applies to half-integer characteristics")
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
-    tau2 = tau.scaled(2)
-    lhs = theta(tau, np.zeros(g), char, tol).value * theta(tau, 2 * z, char, tol).value
+    chars = enumerate_characteristics(g, 2) if char is None else [char]
+    at0 = theta_table(tau, np.zeros(g), chars, tol)
+    at2z = theta_table(tau, 2 * z, chars, tol)
 
     sigmas = list(product((0, 1), repeat=g))
-    chars = [Characteristic(g, 2, s, (0,) * g) for s in sigmas]
-    at2tau = {s: v.value for s, v in zip(sigmas, theta_table(tau2, 2 * z, chars, tol))}
-    rhs = 0j
-    for s in sigmas:
-        sign = (-1) ** (sum(x * y for x, y in zip(char.b, s)) % 2)
-        ds = tuple((x + y) % 2 for x, y in zip(char.a, s))
-        rhs += sign * at2tau[s] * at2tau[ds]
-    return abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
+    s_chars = [Characteristic(g, 2, s, (0,) * g) for s in sigmas]
+    at2tau = {
+        s: v.value for s, v in zip(sigmas, theta_table(tau.scaled(2), 2 * z, s_chars, tol))
+    }
+    worst = 0.0
+    for ch, t0, t2 in zip(chars, at0, at2z):
+        lhs = t0.value * t2.value
+        rhs = 0j
+        for s in sigmas:
+            sign = (-1) ** (sum(x * y for x, y in zip(ch.b, s)) % 2)
+            ds = tuple((x + y) % 2 for x, y in zip(ch.a, s))
+            rhs += sign * at2tau[s] * at2tau[ds]
+        worst = max(worst, abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs))))
+    return worst
 
 
 def fay_relation_residual(
-    tau: PeriodMatrix, z, column: int, tol: float = DEFAULT_TOL
+    tau: PeriodMatrix, z, column: int = None, tol: float = DEFAULT_TOL
 ) -> float:
     """Residual of sum_m v_m theta_m(tau,0)^2 theta_m(tau,2z)^2 over K_g^+,
-    where v is the given column of the block N."""
+    where v is the given column of the block N.  With column None, the
+    largest residual over all columns; both tables are evaluated once."""
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
     m = build_M(g)
     _, _, n = split_blocks(m)
-    if not (0 <= column < n.cols):
+    if column is not None and not (0 <= column < n.cols):
         raise ValueError(f"column must be in [0, {n.cols})")
     iso = isotropic_vectors(g)
     if n.row_labels != iso:
@@ -448,9 +492,12 @@ def fay_relation_residual(
     chars = [vec.to_characteristic() for vec in iso]
     at0 = [v.value for v in theta_table(tau, np.zeros(g), chars, tol)]
     at2z = [v.value for v in theta_table(tau, 2 * z, chars, tol)]
-    terms = [n.entry(i, column) * t0 * t0 * t2 * t2 for i, (t0, t2) in enumerate(zip(at0, at2z))]
-    total = sum(terms)
-    return abs(total) / (1 + max(abs(t) for t in terms))
+    quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
+    worst = 0.0
+    for col in range(n.cols) if column is None else [column]:
+        terms = [n.entry(i, col) * q for i, q in enumerate(quartics)]
+        worst = max(worst, abs(sum(terms)) / (1 + max(abs(t) for t in terms)))
+    return worst
 
 
 def _numerical_rank(matrix):

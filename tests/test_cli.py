@@ -1,10 +1,11 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from thetalab.cli import main
-from thetalab.theta import random_tau
+from thetalab.theta import PeriodMatrix, random_tau
 
 
 @pytest.fixture
@@ -75,6 +76,32 @@ def test_verify_g2(capsys):
     assert code == 0
     assert "PASS" in err
     assert "FAIL" not in err
+
+
+def test_verify_g3_evaluates_each_table_once(capsys, monkeypatch):
+    # the module is shadowed on the package by the function thetalab.theta
+    theta_module = importlib.import_module("thetalab.theta")
+    calls = []
+    table = theta_module.theta_table
+
+    def counting_table(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "theta_table", counting_table)
+    code, _, err = run(capsys, "verify", "--g", "3", "--seed", "5")
+    assert code == 0
+    assert "FAIL" not in err
+    assert len(calls) <= 6
+
+
+def test_count_box_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "tau4.json"
+    path.write_text(json.dumps(PeriodMatrix(0.01j * np.eye(4)).to_json()))
+    code, out, err = run(capsys, "count", "--tau", str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "lattice points" in err
 
 
 def test_h0_g2_exhaustive(capsys):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.characteristics import Characteristic, enumerate_characteristics
-from thetalab.errors import AmbiguousVanishingError
+from thetalab.errors import AmbiguousVanishingError, RadiusCapError
 from thetalab.theta import (
+    MAX_BOX_POINTS,
     PeriodMatrix,
     addition_residual,
     classify_magnitudes,
@@ -126,6 +129,73 @@ def test_theta_table_rejects_wrong_genus():
         theta_table(random_tau(2, 3), np.zeros(2), chars)
 
 
+def test_theta_table_mixed_levels_match_naive_sum():
+    # a=(1,), n=2 and a=(2,), n=4 share delta = 1/2 but bin lattice points mod 2 and mod 4
+    tau = PeriodMatrix(np.array([[0.3 + 0.9j]]))
+    z = np.array([0.17 - 0.06j])
+    chars = [
+        Characteristic(1, 2, (1,), (1,)),
+        Characteristic(1, 4, (2,), (1,)),
+        Characteristic(1, 4, (2,), (3,)),
+        Characteristic(1, 3, (2,), (1,)),
+        Characteristic(1, 2, (1,), (0,)),
+        Characteristic(1, 5, (4,), (2,)),
+        Characteristic(1, 4, (3,), (2,)),
+    ]
+    for c, got in zip(chars, theta_table(tau, z, chars)):
+        want = naive_theta(c, tau.mat, z, 14)
+        assert abs(got.value - want) < 1e-12 * max(1.0, abs(want))
+
+
+@st.composite
+def small_theta_case(draw):
+    g = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    unit = st.floats(-0.5, 0.5)
+    re = np.array([[draw(unit) for _ in range(g)] for _ in range(g)])
+    im = np.diag([draw(st.floats(0.6, 1.5)) for _ in range(g)])
+    if g == 2:
+        im[0, 1] = im[1, 0] = draw(st.floats(-0.2, 0.2))
+    tau = PeriodMatrix((re + re.T) / 2 + 1j * im)
+    z = np.array([draw(unit) for _ in range(g)]) + 1j * np.array(
+        [draw(st.floats(-0.1, 0.1)) for _ in range(g)]
+    )
+    residue = st.tuples(*[st.integers(0, n - 1)] * g)
+    chars = [
+        Characteristic(g, n, draw(residue), draw(residue))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return tau, z, chars
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_theta_case())
+def test_theta_table_property_matches_naive_sum(case):
+    tau, z, chars = case
+    for c, got in zip(chars, theta_table(tau, z, chars)):
+        want = naive_theta(c, tau.mat, z, 9)
+        assert abs(got.value - want) < 1e-12
+
+
+def test_theta_table_level_three_g3_offlattice_z_matches_naive_sum():
+    tau = random_tau(3, 2)
+    z = np.array([0.17, -0.29, 0.08]) + 1j * np.array([0.04, -0.03, 0.06])
+    chars = enumerate_characteristics(3, 3)
+    picked = [0, 13, 100, 364, 420, 581, 728]
+    table = theta_table(tau, z, chars)
+    for i in picked:
+        want = naive_theta(chars[i], tau.mat, z, 7)
+        assert abs(table[i].value - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_theta_table_box_cap_raises_before_allocating():
+    # lam_min = 0.01 meets the tolerance near radius 49, a box of 99^4 points
+    tau = PeriodMatrix(0.01j * np.eye(4))
+    assert 99**4 > MAX_BOX_POINTS
+    with pytest.raises(RadiusCapError, match="lattice points"):
+        theta_table(tau, np.zeros(4), [Characteristic(4, 2, (0,) * 4, (0,) * 4)])
+
+
 def test_odd_constant_vanishes():
     tau = PeriodMatrix(np.array([[1j]]))
     v = theta(tau, np.zeros(1), Characteristic(1, 2, (1,), (1,)))
@@ -210,6 +280,14 @@ def test_fay_residual_small():
     z = np.array([0.09, -0.04]) + 1j * np.array([0.02, 0.05])
     assert fay_relation_residual(tau, z, 0) < 1e-10
     assert fay_relation_residual(tau, np.zeros(2), 0) < 1e-10
+
+
+def test_residuals_over_all_columns_and_characteristics_are_the_max():
+    tau = random_tau(2, 12)
+    z = np.array([0.09, -0.04]) + 1j * np.array([0.02, 0.05])
+    assert fay_relation_residual(tau, z) == max(fay_relation_residual(tau, z, c) for c in range(6))
+    chars = enumerate_characteristics(2, 2)
+    assert addition_residual(tau, z) == max(addition_residual(tau, z, c) for c in chars)
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3)])
