@@ -22,18 +22,18 @@ for g in (1, 2, 3):
     print(f"== g = {g} ==")
     m = build_M(g)
     mp, mm, n = split_blocks(m)
-    print(f"M is {m.rows}x{m.cols}; blocks M+ {mp.rows}x{mp.cols}, "
-          f"M- {mm.rows}x{mm.cols}, N {n.rows}x{n.cols}")
+    print(f"M is {m.shape[0]}x{m.shape[1]}; blocks M+ {mp.shape[0]}x{mp.shape[1]}, "
+          f"M- {mm.shape[0]}x{mm.shape[1]}, N {n.shape[0]}x{n.shape[1]}")
     print(f"eigenvalue multiplicities: {fay_multiplicities(g)}")
-    print(f"rank N = {exact_rank(n.data)}  (closed form (4^g-1)/3 = {(4**g - 1) // 3})")
+    print(f"rank N = {exact_rank(n)}  (closed form (4^g-1)/3 = {(4**g - 1) // 3})")
 
     b = build_B(g)
     bk, sel = build_Bk(g)
     l = build_L(g)
-    print(f"B = NN^t is {b.rows}x{b.cols}, rank {exact_rank(b.data)}")
-    print(f"B_k (selection {sel}) has order 3^g = {bk.rows}, "
-          f"rank {exact_rank(bk.data)} = 3^g - 2^g")
-    print(f"L(g) = M+(1)^(kron {g}) has order {l.rows}")
+    print(f"B = NN^t is {b.shape[0]}x{b.shape[1]}, rank {exact_rank(b)}")
+    print(f"B_k (selection {list(sel)}) has order 3^g = {len(bk)}, "
+          f"rank {exact_rank(bk)} = 3^g - 2^g")
+    print(f"L(g) = M+(1)^(kron {g}) has order {len(l)}")
 
     claims = verify_fay_spectrum(g)
     failed = [c for c in claims if not c["pass"]]

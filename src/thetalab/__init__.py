@@ -13,14 +13,12 @@ from .bounds import (
 )
 from .characteristics import (
     Characteristic,
-    F2Vector,
     SymplecticMap,
     act,
     count_parity,
     enumerate_characteristics,
     orbits,
     parity,
-    quadratic_class,
     symplectic_generators,
     symplectic_pairing,
 )
@@ -31,7 +29,6 @@ from .errors import (
     VerificationError,
 )
 from .matrices import (
-    IntMatrix,
     build_B,
     build_Bk,
     build_L,

@@ -2,24 +2,22 @@
 
 A level-n characteristic is a pair of integer vectors (a, b) mod n encoding
 (delta, eps) = (a/n, b/n) in (1/n)Z^g / Z^g.  For n = 2 a characteristic is
-identified with a vector of F_2^{2g} (first g bits = a, last g bits = b),
-which carries the standard symplectic pairing and the quadratic form
-sum_i x_i x_{g+i}.  Sp(2g, F_2) acts on half-integer characteristics by an
-affine formula; orbits are computed by closure over a hard-coded generator
-set for g <= 3.
+identified with the vector a ++ b of F_2^{2g}, which carries the standard
+symplectic pairing; its parity is the quadratic form sum_i a_i b_i.
+Sp(2g, F_2) acts on half-integer characteristics by an affine formula;
+orbits are computed by closure over a hard-coded generator set for g <= 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 EVEN = "even"
 ODD = "odd"
-ISOTROPIC = "isotropic"
-ANISOTROPIC = "anisotropic"
 
 
 @dataclass(frozen=True)
@@ -41,65 +39,21 @@ class Characteristic:
         object.__setattr__(self, "a", tuple(int(x) % self.n for x in self.a))
         object.__setattr__(self, "b", tuple(int(x) % self.n for x in self.b))
 
-    @property
-    def delta(self):
-        return np.array(self.a, dtype=float) / self.n
-
-    @property
-    def eps(self):
-        return np.array(self.b, dtype=float) / self.n
-
     def key(self):
         """Compact string key 'a|b', stable across runs (JSON friendly)."""
         return "".join(map(str, self.a)) + "|" + "".join(map(str, self.b))
 
 
-@dataclass(frozen=True)
-class F2Vector:
-    """Point of F_2^{2g}: bits = a ++ b for a half-integer characteristic."""
+@cache
+def enumerate_characteristics(g: int, n: int) -> tuple:
+    """All n^{2g} characteristics, lexicographic on a||b (a most significant).
 
-    g: int
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) != 2 * self.g:
-            raise ValueError("bit vector must have length 2g")
-        object.__setattr__(self, "bits", tuple(int(x) % 2 for x in self.bits))
-
-    @property
-    def a(self):
-        return self.bits[: self.g]
-
-    @property
-    def b(self):
-        return self.bits[self.g :]
-
-    @classmethod
-    def from_characteristic(cls, c: Characteristic) -> "F2Vector":
-        if c.n != 2:
-            raise ValueError("only level-2 characteristics live in F_2^{2g}")
-        return cls(c.g, c.a + c.b)
-
-    def to_characteristic(self) -> Characteristic:
-        return Characteristic(self.g, 2, self.a, self.b)
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.g != other.g:
-            raise ValueError("mismatched g")
-        return F2Vector(self.g, tuple((x + y) % 2 for x, y in zip(self.bits, other.bits)))
-
-    def key(self):
-        return "".join(map(str, self.bits))
-
-
-def enumerate_characteristics(g: int, n: int):
-    """All n^{2g} characteristics, lexicographic on a||b (a most significant)."""
+    Built once per (g, n); the characteristics are frozen, so callers share
+    them.
+    """
     if g < 1 or n < 2:
         raise ValueError("need g >= 1 and n >= 2")
-    out = []
-    for ab in product(range(n), repeat=2 * g):
-        out.append(Characteristic(g, n, ab[:g], ab[g:]))
-    return out
+    return tuple(Characteristic(g, n, ab[:g], ab[g:]) for ab in product(range(n), repeat=2 * g))
 
 
 def parity(c: Characteristic) -> str:
@@ -125,34 +79,25 @@ def count_parity(g: int):
     return even, odd
 
 
-def symplectic_pairing(m: F2Vector, n: F2Vector) -> int:
-    """Standard symplectic form sum_i (m_i n_{g+i} + n_i m_{g+i}) mod 2."""
+def symplectic_pairing(m: Characteristic, n: Characteristic) -> int:
+    """Standard symplectic form sum_i (m.a_i n.b_i + n.a_i m.b_i) mod 2 of two
+    half-integer characteristics."""
     if m.g != n.g:
         raise ValueError("mismatched g")
-    g = m.g
-    return sum(m.bits[i] * n.bits[g + i] + n.bits[i] * m.bits[g + i] for i in range(g)) % 2
-
-
-def quadratic_class(m: F2Vector) -> str:
-    """Isotropy for the quadratic form sum_i x_i x_{g+i}; matches parity."""
-    g = m.g
-    return ANISOTROPIC if sum(m.bits[i] * m.bits[g + i] for i in range(g)) % 2 else ISOTROPIC
-
-
-def canonical_f2_order(g: int):
-    """Index order used by all matrices: isotropic block first, each block lex."""
-    vecs = [F2Vector(g, bits) for bits in product((0, 1), repeat=2 * g)]
-    iso = [v for v in vecs if quadratic_class(v) == ISOTROPIC]
-    aniso = [v for v in vecs if quadratic_class(v) == ANISOTROPIC]
-    return iso + aniso
+    if m.n != 2 or n.n != 2:
+        raise ValueError("the symplectic pairing is defined for level n = 2 only")
+    return sum(x * v + y * u for x, u, y, v in zip(m.a, m.b, n.a, n.b)) % 2
 
 
 def isotropic_vectors(g: int):
-    return [v for v in canonical_f2_order(g) if quadratic_class(v) == ISOTROPIC]
+    """The even half-integer characteristics, lexicographic on a||b."""
+    return [c for c in enumerate_characteristics(g, 2) if parity(c) == EVEN]
 
 
-def anisotropic_vectors(g: int):
-    return [v for v in canonical_f2_order(g) if quadratic_class(v) == ANISOTROPIC]
+def canonical_f2_order(g: int):
+    """Index order used by all matrices: the even characteristics, then the
+    odd ones, each block lexicographic on a||b."""
+    return isotropic_vectors(g) + [c for c in enumerate_characteristics(g, 2) if parity(c) == ODD]
 
 
 def _f2(mat) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import compare, decomposable_bound, evaluate_bounds
 from .characteristics import orbits
 from .errors import AmbiguousVanishingError, ThetaLabError, VerificationError
-from .matrices import build_B, build_Bk, build_L, build_M, split_blocks, verify_fay_spectrum
+from .matrices import build_B, build_Bk, build_L, build_M, export_json, split_blocks, verify_fay_spectrum
 from .search import h0_exhaustive, h0_probe
 from .theta import (
     PeriodMatrix,
@@ -82,16 +82,13 @@ def cmd_verify(args) -> int:
     g = args.g
     if g < 1 or g > 3:
         raise SystemExit("verify supports g in {1, 2, 3}")
-    claims = []
-
-    for item in verify_fay_spectrum(g):
-        claims.append(item)
+    claims = list(verify_fay_spectrum(g))
 
     build_B(g)
     claims.append({"claim": f"B({g}) = 2^(g-1)(2^g I - M+) entrywise", "pass": True})
     build_L(g)
     claims.append({"claim": f"L({g}) Kronecker spectrum", "pass": True})
-    _, sel = build_Bk(g)
+    build_Bk(g)
     claims.append(
         {"claim": f"strictly-even submatrix rank 3^{g} - 2^{g}", "pass": True}
     )
@@ -105,7 +102,7 @@ def cmd_verify(args) -> int:
     ok = worst < RESIDUAL_TOL
     claims.append(
         {
-            "claim": f"quartic relation residual, all {n.cols} columns",
+            "claim": f"quartic relation residual, all {n.shape[1]} columns",
             "pass": ok,
             "detail": f"max residual {worst:.3e}",
         }
@@ -184,22 +181,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_export_matrix(args) -> int:
-    g = args.g
-    name = args.name
-    if name == "M":
-        mat = build_M(g)
-    elif name in ("Mplus", "Mminus", "N"):
-        mp, mm, n = split_blocks(build_M(g))
-        mat = {"Mplus": mp, "Mminus": mm, "N": n}[name]
-    elif name == "B":
-        mat = build_B(g)
-    elif name == "L":
-        mat = build_L(g)
-    elif name == "Bk":
-        mat, _ = build_Bk(g)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"unknown matrix {name}")
-    _emit(mat.to_json(), "json")
+    _emit(export_json(args.name, args.g), "json")
     return EXIT_OK
 
 

@@ -1,82 +1,41 @@
 """Exact construction and verification of the mod-2 pairing matrix family.
 
 The sign matrix of the symplectic pairing on F_2^{2g} splits into blocks by
-isotropy class; all spectral and rank claims about those blocks are checked
-with exact integer arithmetic (rank of A - lambda*I by fraction-free
-elimination), never with floating-point eigensolvers.
+parity of the indexing characteristics; all spectral and rank claims about
+those blocks are checked with exact integer arithmetic (rank of
+A - lambda*I by fraction-free elimination), never with floating-point
+eigensolvers.
+
+Every matrix is an int64 numpy array, built and verified once per g and
+returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
+inside int64; ranks and determinants are taken on python ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 from math import comb
 
-from .characteristics import (
-    anisotropic_vectors,
-    canonical_f2_order,
-    isotropic_vectors,
-    symplectic_pairing,
-)
+import numpy as np
+
+from .characteristics import canonical_f2_order, isotropic_vectors, symplectic_pairing
 from .errors import VerificationError
 
 SIZE_CAP = 256
 
 
-@dataclass
-class IntMatrix:
-    """Dense integer matrix with optional characteristic labels."""
-
-    data: list  # list of lists of python ints (exact)
-    row_labels: list = field(default=None)
-    col_labels: list = field(default=None)
-    name: str = ""
-
-    @property
-    def rows(self):
-        return len(self.data)
-
-    @property
-    def cols(self):
-        return len(self.data[0]) if self.data else 0
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [list(col) for col in zip(*self.data)],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            name=self.name + "^t",
-        )
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        bt = list(zip(*other.data))
-        out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.data]
-        return IntMatrix(out, row_labels=self.row_labels, col_labels=other.col_labels)
-
-    def submatrix(self, row_idx, col_idx=None) -> "IntMatrix":
-        if col_idx is None:
-            col_idx = row_idx
-        data = [[self.data[i][j] for j in col_idx] for i in row_idx]
-        rl = [self.row_labels[i] for i in row_idx] if self.row_labels else None
-        cl = [self.col_labels[j] for j in col_idx] if self.col_labels else None
-        return IntMatrix(data, row_labels=rl, col_labels=cl)
-
-    def to_json(self):
-        out = {"name": self.name, "rows": self.rows, "cols": self.cols, "data": self.data}
-        if self.row_labels:
-            out["row_labels"] = [v.key() for v in self.row_labels]
-        if self.col_labels:
-            out["col_labels"] = [v.key() for v in self.col_labels]
-        return out
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
 
 
-def _minus_lambda_eye(data, lam):
-    return [
-        [x - lam if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(data)
-    ]
+def _require_entrywise(got, want, identity: str):
+    """Raise VerificationError naming the first entry where got != want."""
+    bad = np.argwhere(got != want)
+    if len(bad):
+        i, j = bad[0]
+        raise VerificationError(f"{identity} fails at entry ({i},{j})")
 
 
 def _bareiss(mat):
@@ -85,7 +44,8 @@ def _bareiss(mat):
     input, so python's arbitrary-precision ints keep everything exact; for a
     square matrix of full rank, sign * last pivot is the determinant.
     """
-    m = [[int(x) for x in row] for row in mat]
+    rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
+    m = [[int(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -115,54 +75,45 @@ def _bareiss(mat):
     return rank, sign, prev
 
 
+
+
 def exact_rank(mat) -> int:
     """Rank over the rationals by Bareiss fraction-free elimination."""
-    return _bareiss(mat.data if isinstance(mat, IntMatrix) else mat)[0]
+    return _bareiss(mat)[0]
 
 
 def exact_det(mat) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
-    if isinstance(mat, IntMatrix):
-        mat = mat.data
     rank, sign, last = _bareiss(mat)
     return sign * last if rank == len(mat) else 0
 
 
 def eigen_multiplicity(mat, lam: int) -> int:
     """Geometric multiplicity of an integer eigenvalue via exact rank."""
-    if isinstance(mat, IntMatrix):
-        mat = mat.data
-    n = len(mat)
-    return n - exact_rank(_minus_lambda_eye(mat, lam))
+    mat = np.asarray(mat, dtype=np.int64)
+    return len(mat) - exact_rank(mat - lam * np.eye(len(mat), dtype=np.int64))
 
 
-def build_M(g: int) -> IntMatrix:
-    """Sign matrix (-1)^{<m,n>} over F_2^{2g}, isotropic block first."""
+@cache
+def build_M(g: int) -> np.ndarray:
+    """Sign matrix (-1)^{<m,n>} over F_2^{2g}, even characteristics first."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if 4**g > SIZE_CAP:
         raise ValueError(f"size cap: 4^g must be <= {SIZE_CAP}")
     order = canonical_f2_order(g)
-    data = [
-        [1 - 2 * symplectic_pairing(m, n) for n in order]
-        for m in order
-    ]
-    return IntMatrix(data, row_labels=order, col_labels=order, name=f"M({g})")
+    m = np.array(
+        [[1 - 2 * symplectic_pairing(x, y) for y in order] for x in order],
+        dtype=np.int64,
+    )
+    return _frozen(m)
 
 
-def split_blocks(m: IntMatrix):
-    """Block decomposition (M+, N; N^t, M-) by isotropy class of the labels."""
-    if not m.row_labels or not m.col_labels:
-        raise ValueError("split_blocks requires a labeled matrix")
-    g = m.row_labels[0].g
-    kp = len(isotropic_vectors(g))
-    iso = list(range(kp))
-    aniso = list(range(kp, m.rows))
-    mp = m.submatrix(iso, iso)
-    mp.name = f"M+({g})"
-    mm = m.submatrix(aniso, aniso)
-    mm.name = f"M-({g})"
-    n = m.submatrix(iso, aniso)
-    n.name = f"N({g})"
-    return mp, mm, n
+def split_blocks(m: np.ndarray):
+    """Block views (M+, M-, N) of M = (M+, N; N^t, M-), split by parity."""
+    g = (len(m).bit_length() - 1) // 2
+    kp = 2 ** (g - 1) * (2**g + 1)
+    return m[:kp, :kp], m[kp:, kp:], m[:kp, kp:]
 
 
 def fay_multiplicities(g: int):
@@ -201,13 +152,7 @@ def verify_fay_spectrum(g: int):
     closed = fay_multiplicities(g)
     report = []
 
-    msq = m.matmul(m)
-    ok = all(
-        msq.entry(i, j) == (4**g if i == j else 0)
-        for i in range(m.rows)
-        for j in range(m.cols)
-    )
-    _claim(report, f"M({g})^2 = 4^{g} I", ok)
+    _claim(report, f"M({g})^2 = 4^{g} I", np.array_equal(m @ m, 4**g * np.eye(len(m), dtype=np.int64)))
 
     for name, mat in (("M", m), ("M+", mp), ("M-", mm)):
         total = 0
@@ -223,19 +168,12 @@ def verify_fay_spectrum(g: int):
         _claim(
             report,
             f"{name}({g}) multiplicities exhaust the space",
-            total == mat.rows,
-            f"sum {total} vs {mat.rows}",
+            total == len(mat),
+            f"sum {total} vs {len(mat)}",
         )
 
     # Columns of N are -2^{g-1}-eigenvectors of M+: M+ N = -2^{g-1} N.
-    mpn = mp.matmul(n)
-    scale = -(2 ** (g - 1))
-    ok = all(
-        mpn.entry(i, j) == scale * n.entry(i, j)
-        for i in range(n.rows)
-        for j in range(n.cols)
-    )
-    _claim(report, f"M+({g}) N = -2^{g-1} N", ok)
+    _claim(report, f"M+({g}) N = -2^{g-1} N", np.array_equal(mp @ n, -(2 ** (g - 1)) * n))
 
     # rank N = (4^g - 1)/3 = dim of that eigenspace, so the columns span it.
     rk_n = exact_rank(n)
@@ -245,75 +183,55 @@ def verify_fay_spectrum(g: int):
     # Eigenvector equivalences, proved by exact rank inclusions:
     # ker(M+ - 2^g I) = ker(N^t) and ker(M- + 2^g I) = ker(N).
     for name, mat, lam, other in (
-        ("ker(M+ - 2^g) = ker(N^t)", mp, 2**g, n.transpose()),
+        ("ker(M+ - 2^g) = ker(N^t)", mp, 2**g, n.T),
         ("ker(M- + 2^g) = ker(N)", mm, -(2**g), n),
     ):
-        shifted = _minus_lambda_eye(mat.data, lam)
+        shifted = mat - lam * np.eye(len(mat), dtype=np.int64)
         r_shift = exact_rank(shifted)
-        stacked = [list(row) for row in shifted] + [list(row) for row in other.data]
-        contained = exact_rank(stacked) == r_shift
-        dims_match = (mat.rows - r_shift) == (other.cols - exact_rank(other))
+        contained = exact_rank(np.vstack([shifted, other])) == r_shift
+        dims_match = (len(mat) - r_shift) == (other.shape[1] - exact_rank(other))
         _claim(report, f"{name} at g={g}", contained and dims_match)
 
     # Trace identity: mult(+2^g) - mult(-2^g) = tr(M)/2^g = 2^g.
     diff = closed["M"][2**g] - closed["M"][-(2**g)]
-    tr = sum(m.entry(i, i) for i in range(m.rows))
-    _claim(report, f"trace parity of M({g})", diff == tr // 2**g == 2**g)
+    _claim(report, f"trace parity of M({g})", diff == np.trace(m) // 2**g == 2**g)
 
     return report
 
 
-def build_B(g: int) -> IntMatrix:
+@cache
+def build_B(g: int) -> np.ndarray:
     """B = N N^t, verified entrywise against 2^{g-1}(2^g I - M+)."""
     if g > 3:
         raise ValueError("build_B supported for g <= 3")
-    m = build_M(g)
-    mp, _, n = split_blocks(m)
-    b = n.matmul(n.transpose())
-    b.name = f"B({g})"
-    b.row_labels = mp.row_labels
-    b.col_labels = mp.col_labels
-    c = 2 ** (g - 1)
-    for i in range(b.rows):
-        for j in range(b.cols):
-            want = c * ((2**g if i == j else 0) - mp.entry(i, j))
-            if b.entry(i, j) != want:
-                raise VerificationError(
-                    f"B = 2^(g-1)(2^g I - M+) fails at entry ({i},{j}) for g={g}"
-                )
-    return b
+    mp, _, n = split_blocks(build_M(g))
+    b = n @ n.T
+    want = 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp)
+    _require_entrywise(b, want, f"B = 2^(g-1)(2^g I - M+) for g={g}")
+    return _frozen(b)
 
 
-def mplus_one() -> IntMatrix:
-    """The 3x3 isotropic block at g = 1, base of the Kronecker family."""
-    m = build_M(1)
-    mp, _, _ = split_blocks(m)
-    return mp
-
-
-def build_L(g: int) -> IntMatrix:
+@cache
+def build_L(g: int) -> np.ndarray:
     """g-fold Kronecker power of M+(1); spectrum verified exactly.
 
     Eigenvalue (-1)^k 2^{g-k} has multiplicity C(g,k) 2^{g-k}, k = 0..g.
     """
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if 3**g > SIZE_CAP:
         raise ValueError(f"size cap: 3^g must be <= {SIZE_CAP}")
-    base = mplus_one().data
-    # explicit Kronecker product, first factor most significant
-    data = [[1]]
+    base = split_blocks(build_M(1))[0]
+    # first factor most significant
+    l = np.ones((1, 1), dtype=np.int64)
     for _ in range(g):
-        data = [
-            [a * b for a in arow for b in brow]
-            for arow in data
-            for brow in base
-        ]
-    l = IntMatrix(data, name=f"L({g})")
+        l = np.kron(l, base)
     if g <= 3:
         total = 0
         for k in range(g + 1):
             lam = (-1) ** k * 2 ** (g - k)
             want = comb(g, k) * 2 ** (g - k)
-            got = eigen_multiplicity(data, lam)
+            got = eigen_multiplicity(l, lam)
             total += got
             if got != want:
                 raise VerificationError(
@@ -321,28 +239,25 @@ def build_L(g: int) -> IntMatrix:
                 )
         if total != 3**g:
             raise VerificationError(f"L({g}) multiplicities do not exhaust 3^{g}")
-    return l
+    return _frozen(l)
 
 
 TRIPLE = ((0, 0), (0, 1), (1, 0))  # per-coordinate (a_i, b_i) in M+(1) order
 
 
-def bk_selection(g: int):
+def bk_selection(g: int) -> tuple:
     """Indices (into K_g^+ canonical order) of the 3^g strictly even
     characteristics (a_i b_i = 0 in every coordinate), in the mixed-radix
     coordinate-product order matching the Kronecker construction."""
-    iso = isotropic_vectors(g)
-    pos = {v.bits: i for i, v in enumerate(iso)}
+    pos = {c.a + c.b: i for i, c in enumerate(isotropic_vectors(g))}
     sel = []
-    from itertools import product as iproduct
-
-    for digits in iproduct(range(3), repeat=g):
-        a = tuple(TRIPLE[d][0] for d in digits)
-        b = tuple(TRIPLE[d][1] for d in digits)
+    for digits in product(range(3), repeat=g):
+        a, b = zip(*(TRIPLE[d] for d in digits))
         sel.append(pos[a + b])
-    return sel
+    return tuple(sel)
 
 
+@cache
 def build_Bk(g: int):
     """Strictly-even principal submatrix of B; identity and rank checked.
 
@@ -353,19 +268,47 @@ def build_Bk(g: int):
         raise ValueError("build_Bk supported for g <= 3")
     b = build_B(g)
     sel = bk_selection(g)
-    bk = b.submatrix(sel)
-    bk.name = f"Bk({g})"
-    l = build_L(g)
-    c = 2 ** (g - 1)
-    for i in range(bk.rows):
-        for j in range(bk.cols):
-            want = c * ((2**g if i == j else 0) - l.entry(i, j))
-            if bk.entry(i, j) != want:
-                raise VerificationError(
-                    f"Bk = 2^(g-1)(2^g I - L) fails at ({i},{j}) for g={g}"
-                )
+    bk = b[np.ix_(sel, sel)]
+    want = 2 ** (g - 1) * (2**g * np.eye(len(sel), dtype=np.int64) - build_L(g))
+    _require_entrywise(bk, want, f"Bk = 2^(g-1)(2^g I - L) for g={g}")
     rk = exact_rank(bk)
     want = 3**g - 2**g
     if rk != want:
         raise VerificationError(f"rank Bk({g}) = {rk}, expected {want}")
-    return bk, sel
+    return _frozen(bk), sel
+
+
+def export_json(name: str, g: int) -> dict:
+    """JSON form of the matrix M, Mplus, Mminus, N, B, L or Bk at genus g.
+
+    Rows and columns are labelled by the a||b bit strings of the
+    characteristics that index them; L, a Kronecker power, has no labels.
+    """
+    if name == "L":
+        mat, rows, cols = build_L(g), None, None
+    else:
+        m = build_M(g)
+        mp, mm, n = split_blocks(m)
+        keys = ["".join(map(str, c.a + c.b)) for c in canonical_f2_order(g)]
+        even, odd = keys[: len(mp)], keys[len(mp) :]
+        if name == "M":
+            mat, rows, cols = m, keys, keys
+        elif name == "Mplus":
+            mat, rows, cols = mp, even, even
+        elif name == "Mminus":
+            mat, rows, cols = mm, odd, odd
+        elif name == "N":
+            mat, rows, cols = n, even, odd
+        elif name == "B":
+            mat, rows, cols = build_B(g), even, even
+        elif name == "Bk":
+            mat, sel = build_Bk(g)
+            rows = cols = [even[i] for i in sel]
+        else:
+            raise ValueError(f"unknown matrix {name}")
+    title = {"Mplus": "M+", "Mminus": "M-"}.get(name, name)
+    out = {"name": f"{title}({g})", "rows": mat.shape[0], "cols": mat.shape[1], "data": mat.tolist()}
+    if rows:
+        out["row_labels"] = rows
+        out["col_labels"] = cols
+    return out

@@ -14,6 +14,7 @@ elimination over the integers; floating point is never involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -82,17 +83,16 @@ def principal_rank(b, mask) -> int:
     idx = mask.indices if isinstance(mask, SubsetMask) else tuple(sorted(mask))
     if not idx:
         return 0
-    data = b.data if hasattr(b, "data") else b
-    sub = [[data[i][j] for j in idx] for i in idx]
-    return exact_rank(sub)
+    return exact_rank([[b[i][j] for j in idx] for i in idx])
 
 
 def h0_exhaustive(g: int = 2) -> SearchReport:
     """Scan every principal submatrix of B at g = 2 with exact ranks."""
     if g != 2:
         raise ValueError("exhaustive scan supported at g = 2 only")
-    b = build_B(g)
-    kp = b.rows
+    # python lists: indexing them in the mask loop is cheaper than numpy's
+    b = build_B(g).tolist()
+    kp = len(b)
     need = 2**g
     report = SearchReport(g=g, exhaustive=True, strategy="exhaustive-bitmask-scan")
     min_rank = {}
@@ -181,18 +181,12 @@ def batched_rank_mod_p(mats: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _perm_action_on_kplus(g: int):
+@cache
+def _perm_action_on_kplus(g: int) -> tuple:
     """Permutations of the K_g^+ index set induced by the symplectic generators."""
     iso = isotropic_vectors(g)
-    pos = {v.bits: i for i, v in enumerate(iso)}
-    perms = []
-    for gamma in symplectic_generators(g):
-        perm = [0] * len(iso)
-        for i, v in enumerate(iso):
-            w = act(gamma, v.to_characteristic())
-            perm[i] = pos[w.a + w.b]
-        perms.append(tuple(perm))
-    return perms
+    pos = {c: i for i, c in enumerate(iso)}
+    return tuple(tuple(pos[act(gamma, c)] for c in iso) for gamma in symplectic_generators(g))
 
 
 def canonicalize_mask(indices, perms):
@@ -223,7 +217,7 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     if budget < 1:
         raise ValueError("budget must be positive")
     b = build_B(g)
-    kp = b.rows  # 36
+    kp = len(b)  # 36
     need = 2**g  # 8
     report = SearchReport(
         g=g,
@@ -238,17 +232,15 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     if wit_rank > len(sel) - need:
         raise VerificationError("strictly-even witness failed its rank certificate")
     report.h0_upper = len(sel)
-    report.witnesses = [tuple(sel)]
+    report.witnesses = [sel]
     report.min_rank_by_order[len(sel)] = wit_rank
     report.notes.append(
         f"certified witness: order {len(sel)}, exact rank {wit_rank}, slack {len(sel) - need - wit_rank}"
     )
 
     # orders <= 2^g - 1: diag 28 dominates (order-1)*4, hence positive definite
-    offmax = max(
-        abs(b.data[i][j]) for i in range(kp) for j in range(kp) if i != j
-    )
-    diag = min(b.data[i][i] for i in range(kp))
+    offmax = int(np.abs(b[~np.eye(kp, dtype=bool)]).max())
+    diag = int(b.diagonal().min())
     # strict dominance at order s needs (s-1)*offmax < diag
     cap = (diag - 1) // offmax + 1
     if cap < need - 1:
@@ -260,7 +252,6 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     )
 
     rng = np.random.default_rng(seed)
-    bmat = np.array(b.data, dtype=np.int64)
     orders = np.arange(need, report.h0_upper)
     used = 0
     best = {}  # order -> (slack, mask)
@@ -273,7 +264,7 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
             return
         k = len(masks[0])
         idx = np.array(masks, dtype=np.int64)
-        mats = bmat[idx[:, :, None], idx[:, None, :]]
+        mats = b[idx[:, :, None], idx[:, None, :]]
         ranks = batched_rank_mod_p(mats)
         used += len(masks)
         for mask, r in zip(masks, ranks.tolist()):

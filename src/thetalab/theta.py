@@ -482,20 +482,18 @@ def fay_relation_residual(
     largest residual over all columns; both tables are evaluated once."""
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
-    m = build_M(g)
-    _, _, n = split_blocks(m)
-    if column is not None and not (0 <= column < n.cols):
-        raise ValueError(f"column must be in [0, {n.cols})")
-    iso = isotropic_vectors(g)
-    if n.row_labels != iso:
-        raise VerificationError("N row labels do not match the canonical K+ order")
-    chars = [vec.to_characteristic() for vec in iso]
+    _, _, n = split_blocks(build_M(g))
+    if column is not None and not (0 <= column < n.shape[1]):
+        raise ValueError(f"column must be in [0, {n.shape[1]})")
+    # the rows of N follow the canonical order of the even characteristics
+    chars = isotropic_vectors(g)
     at0 = [v.value for v in theta_table(tau, np.zeros(g), chars, tol)]
     at2z = [v.value for v in theta_table(tau, 2 * z, chars, tol)]
     quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
+    columns = n.T.tolist()
     worst = 0.0
-    for col in range(n.cols) if column is None else [column]:
-        terms = [n.entry(i, col) * q for i, q in enumerate(quartics)]
+    for col in range(len(columns)) if column is None else [column]:
+        terms = [v * q for v, q in zip(columns[col], quartics)]
         worst = max(worst, abs(sum(terms)) / (1 + max(abs(t) for t in terms)))
     return worst
 

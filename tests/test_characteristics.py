@@ -7,7 +7,6 @@ from thetalab.characteristics import (
     EVEN,
     ODD,
     Characteristic,
-    F2Vector,
     SymplecticMap,
     act,
     canonical_f2_order,
@@ -15,7 +14,6 @@ from thetalab.characteristics import (
     enumerate_characteristics,
     orbits,
     parity,
-    quadratic_class,
     symplectic_generators,
     symplectic_pairing,
 )
@@ -61,62 +59,77 @@ def test_count_parity_matches_enumeration(g):
     assert (even + odd, odd) == (4**g, tally)
 
 
+def test_enumeration_is_shared():
+    chars = enumerate_characteristics(3, 3)
+    assert isinstance(chars, tuple)
+    assert enumerate_characteristics(3, 3) is chars
+
+
+def half(bits):
+    """Level-2 characteristic with a ++ b = bits."""
+    g = len(bits) // 2
+    return Characteristic(g, 2, bits[:g], bits[g:])
+
+
+def add(m, n):
+    return Characteristic(m.g, 2, [x + y for x, y in zip(m.a, n.a)], [x + y for x, y in zip(m.b, n.b)])
+
+
 def test_pairing_examples():
-    assert symplectic_pairing(F2Vector(1, (1, 0)), F2Vector(1, (0, 1))) == 1
-    assert symplectic_pairing(F2Vector(1, (1, 0)), F2Vector(1, (1, 0))) == 0
-    assert symplectic_pairing(F2Vector(2, (1, 0, 0, 0)), F2Vector(2, (0, 1, 0, 0))) == 0
+    assert symplectic_pairing(half((1, 0)), half((0, 1))) == 1
+    assert symplectic_pairing(half((1, 0)), half((1, 0))) == 0
+    assert symplectic_pairing(half((1, 0, 0, 0)), half((0, 1, 0, 0))) == 0
 
 
 def test_pairing_rejects_mismatched_g():
     with pytest.raises(ValueError):
-        symplectic_pairing(F2Vector(1, (1, 0)), F2Vector(2, (1, 0, 0, 0)))
+        symplectic_pairing(half((1, 0)), half((1, 0, 0, 0)))
+
+
+def test_pairing_rejects_higher_level():
+    with pytest.raises(ValueError):
+        symplectic_pairing(half((1, 0)), Characteristic(1, 3, (1,), (2,)))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_pairing_alternating_and_polarization(g):
-    vecs = [F2Vector(g, bits) for bits in itertools.product((0, 1), repeat=2 * g)]
+    vecs = enumerate_characteristics(g, 2)
     for m in vecs:
         assert symplectic_pairing(m, m) == 0
     for m, n in itertools.product(vecs, vecs):
-        qm = quadratic_class(m) == "anisotropic"
-        qn = quadratic_class(n) == "anisotropic"
-        qmn = quadratic_class(m + n) == "anisotropic"
+        qm = parity(m) == ODD
+        qn = parity(n) == ODD
+        qmn = parity(add(m, n)) == ODD
         assert qmn == (qm ^ qn ^ bool(symplectic_pairing(m, n)))
 
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_pairing_bilinear_exhaustive(g):
-    vecs = [F2Vector(g, bits) for bits in itertools.product((0, 1), repeat=2 * g)]
+    vecs = enumerate_characteristics(g, 2)
     for m1, m2, n in itertools.product(vecs, vecs, vecs):
-        assert symplectic_pairing(m1 + m2, n) == (
+        assert symplectic_pairing(add(m1, m2), n) == (
             symplectic_pairing(m1, n) + symplectic_pairing(m2, n)
         ) % 2
 
 
 def test_pairing_bilinear_sampled_g3():
     rng = random.Random(5)
-    vecs = [F2Vector(3, bits) for bits in itertools.product((0, 1), repeat=6)]
+    vecs = enumerate_characteristics(3, 2)
     for _ in range(2000):
         m1, m2, n = (rng.choice(vecs) for _ in range(3))
-        assert symplectic_pairing(m1 + m2, n) == (
+        assert symplectic_pairing(add(m1, m2), n) == (
             symplectic_pairing(m1, n) + symplectic_pairing(m2, n)
         ) % 2
-
-
-def test_quadratic_class_matches_parity():
-    for g in (1, 2, 3):
-        for c in enumerate_characteristics(g, 2):
-            iso = quadratic_class(F2Vector.from_characteristic(c)) == "isotropic"
-            assert iso == (parity(c) == EVEN)
 
 
 def test_canonical_order_isotropic_first():
     for g in (1, 2, 3):
         order = canonical_f2_order(g)
         kp = count_parity(g)[0]
-        assert all(quadratic_class(v) == "isotropic" for v in order[:kp])
-        assert all(quadratic_class(v) == "anisotropic" for v in order[kp:])
-        assert [v.bits for v in order[:kp]] == sorted(v.bits for v in order[:kp])
+        assert all(parity(c) == EVEN for c in order[:kp])
+        assert all(parity(c) == ODD for c in order[kp:])
+        assert [c.a + c.b for c in order[:kp]] == sorted(c.a + c.b for c in order[:kp])
+        assert [c.a + c.b for c in order[kp:]] == sorted(c.a + c.b for c in order[kp:])
 
 
 def test_symplectic_map_rejects_invalid():

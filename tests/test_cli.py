@@ -161,6 +161,34 @@ def test_export_matrix(capsys):
     assert mat.shape == (10, 6)
 
 
+@pytest.mark.parametrize("name", ["M", "Mplus", "Mminus", "N", "B", "L", "Bk"])
+@pytest.mark.parametrize("g", ["0", "-1"])
+def test_export_matrix_rejects_genus_below_one(capsys, name, g):
+    code, out, err = run(capsys, "export-matrix", "--name", name, "--g", g)
+    assert code == 2
+    assert out == ""
+    assert err == "error: g must be >= 1\n"
+
+
+def test_verify_g3_builds_each_matrix_once(capsys, monkeypatch):
+    matrices = importlib.import_module("thetalab.matrices")
+    for build in (matrices.build_M, matrices.build_B, matrices.build_L, matrices.build_Bk):
+        build.cache_clear()
+    built = []
+    order = matrices.canonical_f2_order
+
+    def counting_order(g):
+        built.append(g)
+        return order(g)
+
+    # build_M reads the canonical order once per matrix it builds
+    monkeypatch.setattr(matrices, "canonical_f2_order", counting_order)
+    code, _, err = run(capsys, "verify", "--g", "3", "--seed", "5")
+    assert code == 0
+    assert "FAIL" not in err
+    assert built.count(3) == 1
+
+
 def test_export_matrix_deterministic(capsys):
     _, out1, _ = run(capsys, "export-matrix", "--name", "B", "--g", "2")
     _, out2, _ = run(capsys, "export-matrix", "--name", "B", "--g", "2")

@@ -7,6 +7,7 @@ from thetalab.characteristics import canonical_f2_order
 from thetalab.errors import VerificationError
 from thetalab.matrices import (
     TRIPLE,
+    _require_entrywise,
     bk_selection,
     build_B,
     build_Bk,
@@ -15,8 +16,8 @@ from thetalab.matrices import (
     eigen_multiplicity,
     exact_det,
     exact_rank,
+    export_json,
     fay_multiplicities,
-    mplus_one,
     split_blocks,
     verify_fay_spectrum,
 )
@@ -61,17 +62,16 @@ def test_eigen_multiplicity_diag():
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_M_is_symmetric_sign_matrix(g):
     m = build_M(g)
-    assert m.rows == m.cols == 4**g
-    for i in range(m.rows):
-        for j in range(m.cols):
-            assert m.data[i][j] in (-1, 1)
-            assert m.data[i][j] == m.data[j][i]
+    assert m.shape == (4**g, 4**g)
+    assert m.dtype == np.int64
+    assert np.isin(m, (-1, 1)).all()
+    assert np.array_equal(m, m.T)
 
 
 def test_M_g1_explicit():
     # pairing of F_2^2 vectors in canonical order 00,01,10 (isotropic), 11
     m = build_M(1)
-    assert m.data == [
+    assert m.tolist() == [
         [1, 1, 1, 1],
         [1, 1, -1, -1],
         [1, -1, 1, -1],
@@ -84,14 +84,21 @@ def test_build_M_size_cap():
         build_M(5)
 
 
+@pytest.mark.parametrize("build", [build_M, build_B, build_L, build_Bk])
+@pytest.mark.parametrize("g", [0, -1])
+def test_builders_reject_genus_below_one(build, g):
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        build(g)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_block_sizes(g):
     mp, mm, n = split_blocks(build_M(g))
     kp = 2 ** (g - 1) * (2**g + 1)
     km = 2 ** (g - 1) * (2**g - 1)
-    assert (mp.rows, mp.cols) == (kp, kp)
-    assert (mm.rows, mm.cols) == (km, km)
-    assert (n.rows, n.cols) == (kp, km)
+    assert mp.shape == (kp, kp)
+    assert mm.shape == (km, km)
+    assert n.shape == (kp, km)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -116,40 +123,41 @@ def test_verify_fay_spectrum(g):
 @pytest.mark.parametrize("g,rank", [(1, 1), (2, 5), (3, 21)])
 def test_rank_N(g, rank):
     _, _, n = split_blocks(build_M(g))
-    assert exact_rank(n.data) == rank
+    assert exact_rank(n) == rank
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_B_definition(g):
     mp, _, n = split_blocks(build_M(g))
     b = build_B(g)
-    nt = [[n.data[i][j] for i in range(n.rows)] for j in range(n.cols)]
-    prod = [
-        [sum(n.data[i][k] * nt[k][j] for k in range(n.cols)) for j in range(n.rows)]
-        for i in range(n.rows)
-    ]
-    assert b.data == prod
-    assert exact_rank(b.data) == (4**g - 1) // 3
-    for i in range(b.rows):
-        for j in range(b.cols):
-            check = 2 ** (g - 1) * ((2**g if i == j else 0) - mp.data[i][j])
-            assert b.data[i][j] == check
-
-
-def test_mplus_one_matches_block():
-    mp, _, _ = split_blocks(build_M(1))
-    assert mplus_one().data == mp.data
+    rows = n.tolist()
+    prod = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
+    assert b.tolist() == prod
+    assert exact_rank(b) == (4**g - 1) // 3
+    for i in range(len(b)):
+        for j in range(len(b)):
+            check = 2 ** (g - 1) * ((2**g if i == j else 0) - int(mp[i, j]))
+            assert b[i, j] == check
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_L_spectrum(g):
     l = build_L(g)
-    assert l.rows == 3**g
+    assert l.shape == (3**g, 3**g)
     from math import comb
 
     for k in range(g + 1):
         lam = (-1) ** k * 2 ** (g - k)
-        assert eigen_multiplicity(l.data, lam) == comb(g, k) * 2 ** (g - k)
+        assert eigen_multiplicity(l, lam) == comb(g, k) * 2 ** (g - k)
+
+
+def test_entrywise_identity_names_first_bad_entry():
+    want = np.arange(6).reshape(2, 3)
+    _require_entrywise(want.copy(), want, "X")
+    got = want.copy()
+    got[1, 0] = got[1, 2] = 9
+    with pytest.raises(VerificationError, match=r"^X fails at entry \(1,0\)$"):
+        _require_entrywise(got, want, "X")
 
 
 def test_triple_ordering():
@@ -161,10 +169,11 @@ def test_Bk_is_principal_submatrix_with_expected_rank(g):
     bk, sel = build_Bk(g)
     b = build_B(g)
     assert len(sel) == 3**g
+    assert isinstance(sel, tuple)
     for p, i in enumerate(sel):
         for q, j in enumerate(sel):
-            assert bk.data[p][q] == b.data[i][j]
-    assert exact_rank(bk.data) == 3**g - 2**g
+            assert bk[p, q] == b[i, j]
+    assert exact_rank(bk) == 3**g - 2**g
 
 
 def test_bk_selection_lands_in_isotropic_range():
@@ -176,5 +185,44 @@ def test_bk_selection_lands_in_isotropic_range():
 
 
 def test_labels_follow_canonical_order():
-    m = build_M(2)
-    assert [v.bits for v in m.row_labels] == [v.bits for v in canonical_f2_order(2)]
+    keys = ["".join(map(str, c.a + c.b)) for c in canonical_f2_order(2)]
+    blob = export_json("M", 2)
+    assert blob["row_labels"] == blob["col_labels"] == keys
+    assert keys[:10] == sorted(keys[:10]) and keys[10:] == sorted(keys[10:])
+    blob = export_json("N", 2)
+    assert (blob["row_labels"], blob["col_labels"]) == (keys[:10], keys[10:])
+    blob = export_json("Bk", 2)
+    assert blob["row_labels"] == [keys[i] for i in bk_selection(2)]
+    assert "row_labels" not in export_json("L", 2)
+
+
+def test_matrices_are_built_once_per_genus():
+    assert build_M(3) is build_M(3)
+    assert build_B(3) is build_B(3)
+    assert build_L(3) is build_L(3)
+    assert build_Bk(3)[0] is build_Bk(3)[0]
+
+
+def _cached_matrices(g):
+    m = build_M(g)
+    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0]]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_cached_matrices_are_read_only(g):
+    before = [mat.copy() for mat in _cached_matrices(g)]
+    for mat in _cached_matrices(g):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 7
+        with pytest.raises(ValueError):
+            mat += 1
+        with pytest.raises(ValueError):
+            np.negative(mat, out=mat)
+    after = _cached_matrices(g)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    # the cached values still satisfy the verified identities
+    m, mp, _, n, b, l, bk = after
+    assert np.array_equal(m @ m, 4**g * np.eye(4**g, dtype=np.int64))
+    assert np.array_equal(b, n @ n.T)
+    assert np.array_equal(b, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
+    assert np.array_equal(bk, 2 ** (g - 1) * (2**g * np.eye(3**g, dtype=np.int64) - l))

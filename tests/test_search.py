@@ -28,13 +28,14 @@ def test_subset_mask_rejects_out_of_range():
 def test_principal_rank_matches_exact():
     b = build_B(2)
     mask = (0, 2, 5, 7, 9)
-    sub = [[b.data[i][j] for j in mask] for i in mask]
+    sub = b[np.ix_(mask, mask)]
     assert principal_rank(b, mask) == exact_rank(sub)
+    assert principal_rank(b.tolist(), mask) == exact_rank(sub.tolist())
 
 
 def test_batched_rank_matches_exact_on_B_submatrices():
     rng = np.random.default_rng(2)
-    b = np.array(build_B(3).data, dtype=np.int64)
+    b = build_B(3)
     for _ in range(30):
         k = int(rng.integers(2, 28))
         idx = rng.choice(36, size=k, replace=False)
