@@ -17,6 +17,7 @@ from .characteristics import (
     act,
     count_parity,
     enumerate_characteristics,
+    generator_permutations,
     orbits,
     parity,
     symplectic_generators,
@@ -42,7 +43,6 @@ from .matrices import (
 )
 from .search import (
     SearchReport,
-    SubsetMask,
     h0_exhaustive,
     h0_probe,
     principal_rank,

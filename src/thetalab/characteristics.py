@@ -5,7 +5,8 @@ A level-n characteristic is a pair of integer vectors (a, b) mod n encoding
 identified with the vector a ++ b of F_2^{2g}, which carries the standard
 symplectic pairing; its parity is the quadratic form sum_i a_i b_i.
 Sp(2g, F_2) acts on half-integer characteristics by an affine formula;
-orbits are computed by closure over a hard-coded generator set for g <= 3.
+a hard-coded generator set for g <= 3 is tabulated once as index
+permutations, and orbits are closures over that table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 EVEN = "even"
 ODD = "odd"
+
+# largest n^{2g} enumerate_characteristics builds; (g, n) = (2, 6) needs 1296
+MAX_CHARACTERISTICS = 2**16
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,14 @@ def enumerate_characteristics(g: int, n: int) -> tuple:
     """All n^{2g} characteristics, lexicographic on a||b (a most significant).
 
     Built once per (g, n); the characteristics are frozen, so callers share
-    them.
+    them.  More than MAX_CHARACTERISTICS raises ValueError before any is built.
     """
     if g < 1 or n < 2:
         raise ValueError("need g >= 1 and n >= 2")
+    if n ** (2 * g) > MAX_CHARACTERISTICS:
+        raise ValueError(
+            f"n^(2g) = {n ** (2 * g)} characteristics exceed the cap of {MAX_CHARACTERISTICS}"
+        )
     return tuple(Characteristic(g, n, ab[:g], ab[g:]) for ab in product(range(n), repeat=2 * g))
 
 
@@ -148,24 +156,28 @@ class SymplecticMap:
         return SymplecticMap.from_matrix(self.matrix() @ other.matrix())
 
 
-def act(gamma: SymplecticMap, c: Characteristic) -> Characteristic:
-    """Affine Sp(2g, F_2) action on half-integer characteristics.
+def _act_rows(gamma: SymplecticMap, ab: np.ndarray) -> np.ndarray:
+    """Affine Sp(2g, F_2) action on the rows of an (N, 2g) 0/1 array of a||b.
 
     gamma.[delta; eps] = (d, -c; -b, a)(delta; eps) + (diag(c d^t); diag(a b^t)),
     computed on the F_2 representatives (a, b) with all arithmetic mod 2.
     The diag(c d^t) form of the inhomogeneous term is the one that makes
     this a genuine left action (the transposed variant anti-composes).
     """
+    a, b, c, d = (_f2(gamma.a), _f2(gamma.b), _f2(gamma.c), _f2(gamma.d))
+    linear = np.block([[d, c], [b, a]])
+    shift = np.concatenate([np.diag(c @ d.T), np.diag(a @ b.T)])
+    return (ab @ linear.T + shift) % 2
+
+
+def act(gamma: SymplecticMap, c: Characteristic) -> Characteristic:
+    """Image of one half-integer characteristic under gamma (see _act_rows)."""
     if c.n != 2:
         raise ValueError("the symplectic action is implemented at level 2")
     if gamma.g != c.g:
         raise ValueError("mismatched g")
-    a, b, cc, d = (_f2(gamma.a), _f2(gamma.b), _f2(gamma.c), _f2(gamma.d))
-    da = np.array(c.a, dtype=np.int64)
-    db = np.array(c.b, dtype=np.int64)
-    new_a = (d @ da + cc @ db + np.diag(cc @ d.T)) % 2
-    new_b = (b @ da + a @ db + np.diag(a @ b.T)) % 2
-    return Characteristic(c.g, 2, tuple(new_a), tuple(new_b))
+    ab = _act_rows(gamma, np.array([c.a + c.b], dtype=np.int64))[0]
+    return Characteristic(c.g, 2, ab[: c.g], ab[c.g :])
 
 
 def symplectic_generators(g: int):
@@ -203,6 +215,23 @@ def symplectic_generators(g: int):
     return gens
 
 
+@cache
+def generator_permutations(g: int) -> np.ndarray:
+    """The generators of symplectic_generators(g) as index permutations.
+
+    Row i maps the index of each characteristic in enumerate_characteristics(g, 2),
+    the binary value of a||b with a most significant, to the index of its
+    image under generator i.  Built once per g; read-only int64 array of
+    shape (number of generators, 4^g).
+    """
+    gens = symplectic_generators(g)
+    shifts = np.arange(2 * g - 1, -1, -1)
+    ab = (np.arange(4**g)[:, None] >> shifts) & 1
+    perms = np.stack([_act_rows(gamma, ab) @ (1 << shifts) for gamma in gens])
+    perms.flags.writeable = False
+    return perms
+
+
 def orbits(g: int, tuples: int = 1):
     """Orbit partition under the generated group; g <= 3 only.
 
@@ -214,54 +243,39 @@ def orbits(g: int, tuples: int = 1):
         raise ValueError("orbit computation supported for g in {1, 2, 3} only")
     if tuples not in (1, 2):
         raise ValueError("tuples must be 1 or 2")
-    gens = symplectic_generators(g)
+    perms = generator_permutations(g)
     chars = enumerate_characteristics(g, 2)
+    keys = [c.key() for c in chars]
+    size = len(chars)
 
     if tuples == 1:
-        points = list(chars)
-
-        def move(gamma, p):
-            return act(gamma, p)
-
-        def keyf(p):
-            return p.key()
-
+        points = range(size)
+        moves = perms
     else:
-        points = [
-            (x, y)
-            for x in chars
-            for y in chars
-            if x != y and parity(x) == parity(y)
-        ]
+        # the pair (x, y) is the point x * 4^g + y and moves to (p[x], p[y])
+        x, y = np.divmod(np.arange(size * size), size)
+        par = np.array([parity(c) for c in chars])
+        points = np.flatnonzero((x != y) & (par[x] == par[y])).tolist()
+        moves = perms[:, x] * size + perms[:, y]
+        keys = [kx + "," + ky for kx in keys for ky in keys]
 
-        def move(gamma, p):
-            return (act(gamma, p[0]), act(gamma, p[1]))
-
-        def keyf(p):
-            return p[0].key() + "," + p[1].key()
-
-    seen: set = set()
-    orbit_list = []
+    images = moves.T.tolist()
+    seen = [False] * moves.shape[1]
+    closures = []
     for start in points:
-        k0 = keyf(start)
-        if k0 in seen:
+        if seen[start]:
             continue
-        frontier = [start]
-        seen.add(k0)
+        seen[start] = True
         orb = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gamma in gens:
-                    q = move(gamma, p)
-                    kq = keyf(q)
-                    if kq not in seen:
-                        seen.add(kq)
-                        orb.append(q)
-                        nxt.append(q)
-            frontier = nxt
-        orbit_list.append(sorted(keyf(p) for p in orb))
-    orbit_list.sort(key=lambda o: (len(o), o[0]))
+        for p in orb:
+            for q in images[p]:
+                if not seen[q]:
+                    seen[q] = True
+                    orb.append(q)
+        closures.append(sorted(orb))
+    # integer order is the order of the keys: a||b is read as a binary number
+    closures.sort(key=lambda o: (len(o), o[0]))
+    orbit_list = [[keys[p] for p in o] for o in closures]
 
     report = {
         "g": g,

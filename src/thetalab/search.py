@@ -18,30 +18,11 @@ from functools import cache
 
 import numpy as np
 
-from .characteristics import act, isotropic_vectors, symplectic_generators
+from .characteristics import EVEN, enumerate_characteristics, generator_permutations, parity
 from .errors import VerificationError
 from .matrices import build_B, build_Bk, exact_rank
 
 MOD_P = 2147483647  # 2^31 - 1; products of residues stay inside int64
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """Subset of the K_g^+ index set selecting a principal submatrix."""
-
-    g: int
-    indices: tuple
-
-    def __post_init__(self):
-        kp = 2 ** (self.g - 1) * (2**self.g + 1)
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if idx and not (0 <= idx[0] and idx[-1] < kp):
-            raise ValueError(f"indices must lie in [0, {kp})")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def order(self):
-        return len(self.indices)
 
 
 @dataclass
@@ -80,7 +61,7 @@ class SearchReport:
 
 def principal_rank(b, mask) -> int:
     """Exact rank of the principal submatrix selected by the mask."""
-    idx = mask.indices if isinstance(mask, SubsetMask) else tuple(sorted(mask))
+    idx = tuple(sorted(mask))
     if not idx:
         return 0
     return exact_rank([[b[i][j] for j in idx] for i in idx])
@@ -183,10 +164,12 @@ def batched_rank_mod_p(mats: np.ndarray) -> np.ndarray:
 
 @cache
 def _perm_action_on_kplus(g: int) -> tuple:
-    """Permutations of the K_g^+ index set induced by the symplectic generators."""
-    iso = isotropic_vectors(g)
-    pos = {c: i for i, c in enumerate(iso)}
-    return tuple(tuple(pos[act(gamma, c)] for c in iso) for gamma in symplectic_generators(g))
+    """Permutations of the K_g^+ index set induced by the symplectic generators:
+    generator_permutations(g) restricted to the even characteristics, which
+    the action preserves.  Tuples of ints, for element-wise indexing."""
+    even = np.flatnonzero([parity(c) == EVEN for c in enumerate_characteristics(g, 2)])
+    # even is sorted, so an even index's position in it is its K_g^+ index
+    return tuple(map(tuple, np.searchsorted(even, generator_permutations(g)[:, even]).tolist()))
 
 
 def canonicalize_mask(indices, perms):

@@ -52,6 +52,8 @@ class PeriodMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("tau must be a square matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("tau must be finite")
         if np.max(np.abs(mat - mat.T)) > self.SYMMETRY_TOL:
             raise ValueError("tau must be symmetric (entrywise 1e-12)")
         mat = (mat + mat.T) / 2
@@ -544,6 +546,8 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
     g = tau.g
     if g > 3:
         raise ValueError("qh_rank_profile supported for g <= 3")
+    # the table first: its enumeration bounds n^{2g}, the size of the phase matrix
+    table = constant_table(tau, n, tol)
     vecs = list(product(range(n), repeat=g))
     # phase[d, e] = exp(2 pi i (a . e) / n) for delta = a/n, eps = e/n
     phases = np.exp(
@@ -554,7 +558,6 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
     )
     # enumerate_characteristics orders a||b with a most significant, so
     # row d, column mu of the reshaped table is theta[d/n; mu/n](tau, 0)
-    table = constant_table(tau, n, tol)
     consts = table.values.reshape(len(vecs), len(vecs))
     ranks = [_numerical_rank(consts[:, j, None] * phases) for j in range(len(vecs))]
     theta_n = count_torsion(tau, n, table=table).count

@@ -12,6 +12,7 @@ from thetalab.characteristics import (
     canonical_f2_order,
     count_parity,
     enumerate_characteristics,
+    generator_permutations,
     orbits,
     parity,
     symplectic_generators,
@@ -178,6 +179,36 @@ def test_orbits_g2_pairs_double_transitive():
     assert 90 in report["orbit_sizes"]
     assert report["even_pairs_single_orbit"]
     assert report["odd_pairs_single_orbit"]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_generator_permutations_match_act(g):
+    perms = generator_permutations(g)
+    gens = symplectic_generators(g)
+    chars = enumerate_characteristics(g, 2)
+    assert perms.shape == (len(gens), 4**g)
+    for row, gamma in zip(perms.tolist(), gens):
+        assert sorted(row) == list(range(4**g))
+        assert [act(gamma, c) for c in chars] == [chars[j] for j in row]
+        assert [parity(chars[j]) for j in row] == [parity(c) for c in chars]
+
+
+def test_generator_permutations_shared_and_read_only():
+    perms = generator_permutations(3)
+    assert generator_permutations(3) is perms
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+
+
+def test_orbits_g3_pairs_double_transitive():
+    report = orbits(3, 2)
+    assert report["orbit_sizes"] == [756, 1260]
+    assert report["even_pairs_single_orbit"]
+    assert report["odd_pairs_single_orbit"]
+    # each orbit is sorted on its keys, the orbits on (size, first key)
+    assert report["orbits"][0][0] == "001|001,001|011"
+    assert report["orbits"][1][0] == "000|000,000|001"
+    assert all(o == sorted(o) for o in report["orbits"])
 
 
 def test_orbits_rejects_large_g():

@@ -104,6 +104,25 @@ def test_count_box_cap_exits_2(capsys, tmp_path):
     assert "lattice points" in err
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_count_non_finite_tau_exits_2(capsys, tmp_path, entry):
+    path = tmp_path / "tau_bad.json"
+    path.write_text(f'{{"g": 2, "re": [[0.0, {entry}], [{entry}, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]}}')
+    code, out, err = run(capsys, "count", "--tau", str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot read period matrix from {path}: tau must be finite\n"
+
+
+def test_count_characteristic_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "tau3.json"
+    path.write_text(json.dumps(random_tau(3, 0).to_json()))
+    code, out, err = run(capsys, "count", "--tau", str(path), "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: n^(2g) = 4096000000 characteristics exceed the cap")
+
+
 def test_h0_g2_exhaustive(capsys):
     code, out, _ = run(capsys, "h0", "--g", "2")
     assert code == 0

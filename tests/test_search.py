@@ -4,7 +4,6 @@ import pytest
 from thetalab.errors import VerificationError
 from thetalab.matrices import build_B, build_Bk, exact_rank
 from thetalab.search import (
-    SubsetMask,
     batched_rank_mod_p,
     canonicalize_mask,
     _perm_action_on_kplus,
@@ -12,17 +11,6 @@ from thetalab.search import (
     h0_probe,
     principal_rank,
 )
-
-
-def test_subset_mask_normalizes():
-    m = SubsetMask(2, (3, 1, 3, 0))
-    assert m.indices == (0, 1, 3)
-    assert m.order == 3
-
-
-def test_subset_mask_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        SubsetMask(2, (10,))
 
 
 def test_principal_rank_matches_exact():

@@ -297,6 +297,11 @@ def test_qh_rank_defect_zero(g, n):
     assert sum(prof.ranks) + prof.theta_n == n ** (2 * g)
 
 
+def test_qh_rank_profile_rejects_oversized_table():
+    with pytest.raises(ValueError, match="exceed the cap"):
+        qh_rank_profile(random_tau(3, 5), 40)
+
+
 def test_random_tau_deterministic():
     a = random_tau(3, 42).mat
     b = random_tau(3, 42).mat
