@@ -2,8 +2,10 @@
 
 Compares computed counts against every applicable bound row, evaluates the
 addition-formula and quartic-relation residuals that certify the numerical
-theta engine, and checks the twisted-constant rank identity
-n^{2g} = sum_mu rank(T_mu) + Theta(n)."""
+theta engine, and prints the twisted-constant rank identity
+n^{2g} = sum_mu rank(T_mu) + Theta(n), which holds by construction: rank T_mu
+counts the nonvanishing theta[delta; mu], read from the same vanishing flags
+as Theta(n)."""
 
 import numpy as np
 

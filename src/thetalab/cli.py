@@ -2,8 +2,8 @@
 
 All output is machine-readable JSON (sorted keys, so identical configs give
 byte-identical output); bound tables can also render as csv or a plain
-table.  Exit codes: 0 success, 2 usage/input error, 3 numerical ambiguity,
-4 verification failure.
+table.  Exit codes: 0 success, 2 usage/input error, 3 a theta constant in the
+undecidable magnitude band, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -74,7 +74,19 @@ def cmd_count(args) -> int:
     out = count_torsion(tau, args.n, table=table).to_json()
     if args.table:
         out["table"] = table.to_json()["entries"]
-    _emit(out, args.format)
+    if args.format == "json":
+        _emit(out, "json")
+    elif args.table:
+        # flat rows: one per characteristic, the complex value as two columns
+        rows = [
+            {k: v for k, v in e.items() if k != "value"}
+            | {"value_re": e["value"][0], "value_im": e["value"][1]}
+            for e in out["table"]
+        ]
+        _emit(rows, args.format)
+    else:
+        margins = {f"{k}_margin": v for k, v in out.pop("margins").items()}
+        _emit(out | margins, args.format)
     return EXIT_OK
 
 

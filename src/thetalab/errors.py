@@ -6,7 +6,7 @@ class ThetaLabError(Exception):
 
 
 class AmbiguousVanishingError(ThetaLabError):
-    """A magnitude (or singular value) fell inside the undecidable band.
+    """A magnitude fell inside the undecidable band.
 
     Counting theorems need certainty; we refuse to classify borderline
     entries instead of guessing.

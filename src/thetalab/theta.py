@@ -28,7 +28,6 @@ from .errors import (
     AmbiguousVanishingError,
     RadiusCapError,
     ThetaLabError,
-    VerificationError,
 )
 from .matrices import build_M, split_blocks
 
@@ -39,8 +38,6 @@ RADIUS_CAP = 60
 MAX_BOX_POINTS = 1_000_000
 VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
-RANK_ZERO_REL = 1e-8
-RANK_AMBIG_REL = 1e-4
 
 
 class PeriodMatrix:
@@ -75,27 +72,6 @@ class PeriodMatrix:
 
     def scaled(self, factor) -> "PeriodMatrix":
         return PeriodMatrix(factor * self.mat)
-
-    def diagonal_blocks(self):
-        """Index blocks of the exactly block-diagonal structure of tau."""
-        g = self.g
-        adj = (self.mat != 0) | np.eye(g, dtype=bool)
-        blocks = []
-        seen = [False] * g
-        for i in range(g):
-            if seen[i]:
-                continue
-            stack, comp = [i], []
-            seen[i] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in range(g):
-                    if not seen[w] and adj[v, w]:
-                        seen[w] = True
-                        stack.append(w)
-            blocks.append(sorted(comp))
-        return blocks
 
     def to_json(self):
         return {
@@ -300,7 +276,13 @@ def classify_magnitudes(mags):
 
 @dataclass
 class ConstantTable:
-    """All level-n theta constants at tau with vanishing flags and margins."""
+    """All level-n theta constants at tau with vanishing flags and margins.
+
+    certified is True when the exact product rule decides vanishing: level 2
+    and exactly diagonal tau, where each constant is a product of genus-1
+    constants and theta[a/2; b/2] of genus 1 vanishes iff ab = 1.  Otherwise
+    the threshold policy of classify_magnitudes decides.
+    """
 
     tau: PeriodMatrix
     n: int
@@ -309,26 +291,40 @@ class ConstantTable:
     tail_bounds: np.ndarray
     magnitudes: np.ndarray = field(init=False)
     max_magnitude: float = field(init=False)
+    certified: bool = field(init=False)
+    _flags: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.magnitudes = np.abs(self.values)
         self.max_magnitude = float(self.magnitudes.max())
         if self.max_magnitude <= 0:
             raise ThetaLabError("constant table has no nonvanishing entry")
+        mat = self.tau.mat
+        self.certified = self.n == 2 and np.array_equal(mat, np.diag(np.diagonal(mat)))
 
     @property
     def margins(self):
         return self.magnitudes / self.max_magnitude
 
     def vanishing_flags(self):
-        try:
-            return classify_magnitudes(self.magnitudes)
-        except AmbiguousVanishingError as exc:
-            names = [self.chars[i].key() for i in exc.offenders]
-            raise AmbiguousVanishingError(
-                f"undecidable theta constants at characteristics {names}",
-                offenders=exc.offenders,
-            ) from None
+        """The table's one vanishing decision, made on first use (read-only)."""
+        if self._flags is None:
+            if self.certified:
+                a = np.array([c.a for c in self.chars])
+                b = np.array([c.b for c in self.chars])
+                flags = (a * b).any(axis=1)
+            else:
+                try:
+                    flags = classify_magnitudes(self.magnitudes)
+                except AmbiguousVanishingError as exc:
+                    names = [self.chars[i].key() for i in exc.offenders]
+                    raise AmbiguousVanishingError(
+                        f"undecidable theta constants at characteristics {names}",
+                        offenders=exc.offenders,
+                    ) from None
+            flags.setflags(write=False)
+            self._flags = flags
+        return self._flags
 
     def to_json(self):
         flags = self.vanishing_flags()
@@ -361,22 +357,6 @@ def constant_table(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> Const
         np.array([v.value for v in vals]),
         np.array([v.tail_bound for v in vals]),
     )
-
-
-def certified_diagonal_flags(tau: PeriodMatrix, n: int):
-    """Exact vanishing flags for diagonal tau at level 2.
-
-    For 1x1 blocks a level-2 constant vanishes iff the coordinate
-    characteristic is odd, so for diagonal tau the product rule decides
-    vanishing without thresholds: vanish iff some a_i b_i = 1.
-    Returns None when the certified rule does not apply.
-    """
-    if n != 2:
-        return None
-    if any(len(blk) != 1 for blk in tau.diagonal_blocks()):
-        return None
-    chars = enumerate_characteristics(tau.g, 2)
-    return np.array([any(x * y for x, y in zip(c.a, c.b)) for c in chars], dtype=bool)
 
 
 @dataclass
@@ -413,11 +393,6 @@ def count_torsion(
     if table is None:
         table = constant_table(tau, n, tol)
     flags = table.vanishing_flags()
-    certified = certified_diagonal_flags(tau, n)
-    if certified is not None and not np.array_equal(flags, certified):
-        raise VerificationError(
-            "numerical vanishing flags disagree with the certified diagonal rule"
-        )
     margins = table.margins
     nonvan = margins[~flags]
     van = margins[flags]
@@ -427,7 +402,7 @@ def count_torsion(
         g=tau.g,
         min_nonvanishing_margin=float(nonvan.min()) if nonvan.size else math.inf,
         max_vanishing_margin=float(van.max()) if van.size else 0.0,
-        certified=certified is not None,
+        certified=table.certified,
     )
 
 
@@ -500,26 +475,9 @@ def fay_relation_residual(
     return worst
 
 
-def _numerical_rank(matrix):
-    """Numerical rank via SVD with the refusal band on singular values."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top <= 0:
-        return 0
-    rel = sv / top
-    band = np.nonzero((rel >= RANK_ZERO_REL) & (rel <= RANK_AMBIG_REL))[0]
-    if band.size:
-        raise AmbiguousVanishingError(
-            "singular values inside the rank-decision band "
-            f"[{RANK_ZERO_REL:g}, {RANK_AMBIG_REL:g}]",
-            offenders=band.tolist(),
-        )
-    return int((rel > RANK_AMBIG_REL).sum())
-
-
 @dataclass
 class QHProfile:
-    """Per-coset numerical ranks of the twisted constant matrices."""
+    """Per-coset ranks of the twisted constant matrices."""
 
     n: int
     g: int
@@ -540,26 +498,19 @@ class QHProfile:
 
 def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHProfile:
     """Ranks of T_mu[delta, eps] = exp(2 pi i n delta^t eps) theta[delta; mu](tau, 0)
-    for every mu, plus the identity defect n^{2g} - sum_mu rank - Theta(n)."""
+    for every mu, plus the identity defect n^{2g} - sum_mu rank - Theta(n),
+    which is zero by construction: both sides read the table's one vanishing
+    decision."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     g = tau.g
     if g > 3:
         raise ValueError("qh_rank_profile supported for g <= 3")
-    # the table first: its enumeration bounds n^{2g}, the size of the phase matrix
     table = constant_table(tau, n, tol)
-    vecs = list(product(range(n), repeat=g))
-    # phase[d, e] = exp(2 pi i (a . e) / n) for delta = a/n, eps = e/n
-    phases = np.exp(
-        2j
-        * math.pi
-        / n
-        * np.array([[sum(x * y for x, y in zip(d, e)) for e in vecs] for d in vecs])
-    )
-    # enumerate_characteristics orders a||b with a most significant, so
-    # row d, column mu of the reshaped table is theta[d/n; mu/n](tau, 0)
-    consts = table.values.reshape(len(vecs), len(vecs))
-    ranks = [_numerical_rank(consts[:, j, None] * phases) for j in range(len(vecs))]
+    # T_mu = diag(theta[.; mu]) F with F the invertible character table of
+    # (Z/n)^g, so rank T_mu counts the nonvanishing theta[delta; mu].  Rows of
+    # the reshaped flags are delta = a/n, columns mu = b/n (a most significant).
+    ranks = (~table.vanishing_flags()).reshape(n**g, n**g).sum(axis=0).tolist()
     theta_n = count_torsion(tau, n, table=table).count
     defect = n ** (2 * g) - sum(ranks) - theta_n
     return QHProfile(n=n, g=g, ranks=ranks, theta_n=theta_n, defect=defect)

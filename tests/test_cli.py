@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 
 import numpy as np
@@ -216,3 +218,101 @@ def test_export_matrix_deterministic(capsys):
 
 def test_version_flag_exits_zero(capsys):
     assert run(capsys, "--version")[0] == 0
+
+
+def write_tau(tmp_path, mat, name="tau.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(PeriodMatrix(mat).to_json()))
+    return str(path)
+
+
+# diagonal tau with a large imaginary part: the smallest nonvanishing
+# constants fall in or below the magnitude band, and the product rule decides
+@pytest.mark.parametrize(
+    "diag",
+    [[10j], [50j], [1000j], [0.1 + 8j, 0.2 + 1.2j], [0.1 + 12j, 0.2 + 1.2j], [0.1 + 20j, 0.2 + 1.2j]],
+)
+def test_count_diagonal_large_im_certified(capsys, tmp_path, diag):
+    g = len(diag)
+    path = write_tau(tmp_path, np.diag(diag))
+    code, out, err = run(capsys, "count", "--tau", path, "--n", "2", "--table")
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["theta_n"] == 4**g - 3**g
+    assert blob["certified"] is True
+    assert sum(e["vanishing"] for e in blob["table"]) == blob["theta_n"]
+
+
+@pytest.mark.parametrize(
+    "mat,n",
+    [
+        (np.block([[random_tau(2, 3).mat, np.zeros((2, 1))], [np.zeros((1, 2)), np.array([[1.1j]])]]), 2),
+        (np.diag([1j, 2j]), 3),
+        (np.diag([1j, 2j]), 6),
+        (random_tau(2, 0).mat, 2),
+        (random_tau(3, 0).mat, 2),
+    ],
+    ids=["block-2+1-n2", "diagonal-n3", "diagonal-n6", "generic-g2-n2", "generic-g3-n2"],
+)
+def test_count_not_certified(capsys, tmp_path, mat, n):
+    path = write_tau(tmp_path, mat)
+    code, out, _ = run(capsys, "count", "--tau", path, "--n", str(n))
+    assert code == 0
+    assert json.loads(out)["certified"] is False
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    theta_module = importlib.import_module("thetalab.theta")
+    calls = []
+    classify = theta_module.classify_magnitudes
+
+    def counting_classify(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "classify_magnitudes", counting_classify)
+    return calls
+
+
+def test_count_table_classifies_once(capsys, tau_file, classify_calls):
+    code, _, _ = run(capsys, "count", "--tau", tau_file, "--n", "2", "--table")
+    assert code == 0
+    assert len(classify_calls) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--table"], ["--format", "csv"], ["--table", "--format", "table"]])
+def test_count_diagonal_level2_never_classifies(capsys, product_tau_file, classify_calls, extra):
+    code, _, _ = run(capsys, "count", "--tau", product_tau_file, "--n", "2", *extra)
+    assert code == 0
+    assert classify_calls == []
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_count_csv_rows_are_flat(capsys, tau_file, table):
+    argv = ["count", "--tau", tau_file, "--n", "2", "--format", "csv"] + ["--table"] * table
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == (17 if table else 2)
+    assert len({len(r) for r in rows}) == 1
+    assert not any("{" in cell or "[" in cell for r in rows for cell in r)
+    header = rows[0]
+    if table:
+        assert {"char", "value_re", "value_im", "vanishing"} <= set(header)
+        assert sum(r[header.index("vanishing")] == "True" for r in rows[1:]) == 6
+    else:
+        record = dict(zip(header, rows[1]))
+        assert record["theta_n"] == "6"
+        assert {"min_nonvanishing_margin", "max_vanishing_margin"} <= set(header)
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_count_table_format_rows_are_flat(capsys, tau_file, table):
+    argv = ["count", "--tau", tau_file, "--n", "2", "--format", "table"] + ["--table"] * table
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == (17 if table else 2)
+    assert len({len(r) for r in rows}) == 1
+    assert "{" not in out and "[" not in out

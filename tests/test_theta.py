@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from thetalab.characteristics import Characteristic, enumerate_characteristics
 from thetalab.errors import AmbiguousVanishingError, RadiusCapError
 from thetalab.theta import (
     MAX_BOX_POINTS,
+    ConstantTable,
     PeriodMatrix,
     addition_residual,
     classify_magnitudes,
@@ -241,13 +243,18 @@ def test_product_two_torsion_counts():
 
 
 def test_product_count_factorizes():
+    # the numerical classification, not the product-rule certificate the
+    # tables report at level 2 on diagonal tau
     flags = []
     for t in (np.array([[1.3j]]), np.array([[0.2 + 1.7j]])):
-        flags.append(constant_table(PeriodMatrix(t), 2).vanishing_flags())
+        flags.append(classify_magnitudes(constant_table(PeriodMatrix(t), 2).magnitudes))
     joint = constant_table(PeriodMatrix(np.diag([1.3j, 0.2 + 1.7j])), 2)
+    assert joint.certified
+    numeric = classify_magnitudes(joint.magnitudes)
+    assert np.array_equal(numeric, joint.vanishing_flags())
     # vanishing on the product is the "or" of factor vanishings
     chars = enumerate_characteristics(2, 2)
-    for c, f in zip(chars, joint.vanishing_flags()):
+    for c, f in zip(chars, numeric):
         f1 = flags[0][2 * c.a[0] + c.b[0]]
         f2 = flags[1][2 * c.a[1] + c.b[1]]
         assert f == (f1 or f2)
@@ -295,6 +302,50 @@ def test_qh_rank_defect_zero(g, n):
     prof = qh_rank_profile(random_tau(g, 5), n)
     assert prof.defect == 0
     assert sum(prof.ranks) + prof.theta_n == n ** (2 * g)
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_qh_ranks_match_svd_oracle(g, n):
+    # independent oracle: SVD ranks of T_mu = diag(theta[.; mu]) F, with a
+    # clear gap between the zero and the nonzero singular values
+    for tau in (random_tau(g, 5), PeriodMatrix(np.diag([1j * (0.8 + 0.4 * k) for k in range(g)]))):
+        table = constant_table(tau, n)
+        vecs = list(np.ndindex(*(n,) * g))
+        f = np.exp(2j * math.pi / n * np.array([[np.dot(d, e) for e in vecs] for d in vecs]))
+        consts = table.values.reshape(len(vecs), len(vecs))
+        ranks = []
+        for mu in range(len(vecs)):
+            sv = np.linalg.svd(consts[:, mu, None] * f, compute_uv=False)
+            rel = sv / sv[0]
+            assert not ((rel >= 1e-8) & (rel <= 1e-4)).any()
+            ranks.append(int((rel > 1e-4).sum()))
+        assert qh_rank_profile(tau, n).ranks == ranks
+
+
+def test_qh_ranks_count_each_mu_column(monkeypatch):
+    # zeroing theta[(1,0)/2; 0] makes the vanishing pattern asymmetric in (a, b),
+    # so a rank per delta row instead of per mu column would show
+    theta_module = importlib.import_module("thetalab.theta")
+    build = theta_module.constant_table
+
+    def one_more_zero(tau, n, tol):
+        table = build(tau, n, tol)
+        values = table.values.copy()
+        values[0b1000] = 0
+        return ConstantTable(table.tau, n, table.chars, values, table.tail_bounds)
+
+    monkeypatch.setattr(theta_module, "constant_table", one_more_zero)
+    prof = qh_rank_profile(random_tau(2, 0), 2)
+    assert prof.ranks == [3, 2, 2, 2]
+    assert (prof.theta_n, prof.defect) == (7, 0)
+
+
+def test_vanishing_flags_decided_once_and_read_only():
+    table = constant_table(random_tau(2, 0), 2)
+    flags = table.vanishing_flags()
+    assert table.vanishing_flags() is flags
+    with pytest.raises(ValueError):
+        flags[0] = not flags[0]
 
 
 def test_qh_rank_profile_rejects_oversized_table():
