@@ -35,7 +35,6 @@ from .matrices import (
     build_L,
     build_M,
     eigen_multiplicity,
-    exact_det,
     exact_rank,
     fay_multiplicities,
     split_blocks,

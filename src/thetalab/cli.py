@@ -9,6 +9,7 @@ undecidable magnitude band, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -26,7 +27,6 @@ from .theta import (
     count_torsion,
     constant_table,
     fay_relation_residual,
-    m_count,
     qh_rank_profile,
     random_tau,
 )
@@ -42,21 +42,21 @@ RESIDUAL_TOL = 1e-8
 def _emit(obj, fmt="json"):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
-    elif fmt == "csv":
-        rows = obj if isinstance(obj, list) else obj.get("rows", [obj])
-        if rows:
-            keys = sorted(rows[0])
-            print(",".join(keys))
-            for r in rows:
-                print(",".join(str(r.get(k, "")) for k in keys))
+        return
+    rows = obj if isinstance(obj, list) else obj.get("rows", [obj])
+    if not rows:
+        return
+    keys = sorted(rows[0])
+    cells = [[str(r.get(k, "")) for k in keys] for r in rows]
+    if fmt == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(keys)
+        out.writerows(cells)
     else:  # table
-        rows = obj if isinstance(obj, list) else obj.get("rows", [obj])
-        if rows:
-            keys = sorted(rows[0])
-            widths = [max(len(k), max(len(str(r.get(k, ""))) for r in rows)) for k in keys]
-            print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
-            for r in rows:
-                print("  ".join(str(r.get(k, "")).ljust(w) for k, w in zip(keys, widths)))
+        widths = [max(len(k), *(len(c) for c in col)) for k, col in zip(keys, zip(*cells))]
+        print("  ".join(k.ljust(w) for k, w in zip(keys, widths)))
+        for row in cells:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _load_tau(path) -> PeriodMatrix:
@@ -179,8 +179,15 @@ def cmd_bounds(args) -> int:
         out["verdicts"] = compare(theta_n, rows)
     if args.format == "json":
         _emit(out, "json")
-    else:
-        _emit(out["rows"], args.format)
+        return EXIT_OK
+    # flat rows: the table-wide figures and each row's verdict as columns
+    rows = out["rows"]
+    if args.blocks:
+        rows = [r | {"decomposable_bound": out["decomposable_bound"]} for r in rows]
+    if args.tau:
+        verdicts = out["verdicts"]
+        rows = [r | {"theta_n": theta_n, "verdict": v["verdict"]} for r, v in zip(rows, verdicts)]
+    _emit(rows, args.format)
     return EXIT_OK
 
 

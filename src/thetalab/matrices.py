@@ -8,7 +8,7 @@ eigensolvers.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
-inside int64; ranks and determinants are taken on python ints.
+inside int64; ranks are taken on python ints.
 """
 
 from __future__ import annotations
@@ -38,26 +38,22 @@ def _require_entrywise(got, want, identity: str):
         raise VerificationError(f"{identity} fails at entry ({i},{j})")
 
 
-def _bareiss(mat):
-    """Bareiss fraction-free elimination of an integer matrix given as rows:
-    (rank, swap sign, last pivot).  Intermediate values are minors of the
-    input, so python's arbitrary-precision ints keep everything exact; for a
-    square matrix of full rank, sign * last pivot is the determinant.
+def exact_rank(mat) -> int:
+    """Rank over the rationals by Bareiss fraction-free elimination of an
+    integer matrix given as rows.  Intermediate values are minors of the
+    input, so python's arbitrary-precision ints keep everything exact.
     """
     rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
     m = [[int(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
-    sign = 1
     prev = 1
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
+        m[rank], m[piv] = m[piv], m[rank]
         p = m[rank][col]
         mp = m[rank]
         for r in range(rank + 1, nrows):
@@ -72,20 +68,7 @@ def _bareiss(mat):
         rank += 1
         if rank == nrows:
             break
-    return rank, sign, prev
-
-
-
-
-def exact_rank(mat) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination."""
-    return _bareiss(mat)[0]
-
-
-def exact_det(mat) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    rank, sign, last = _bareiss(mat)
-    return sign * last if rank == len(mat) else 0
+    return rank
 
 
 def eigen_multiplicity(mat, lam: int) -> int:

@@ -504,8 +504,6 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
     if n < 2:
         raise ValueError("level n must be >= 2")
     g = tau.g
-    if g > 3:
-        raise ValueError("qh_rank_profile supported for g <= 3")
     table = constant_table(tau, n, tol)
     # T_mu = diag(theta[.; mu]) F with F the invertible character table of
     # (Z/n)^g, so rank T_mu counts the nonvanishing theta[delta; mu].  Rows of

@@ -167,6 +167,38 @@ def test_bounds_csv_format(capsys):
     assert out.splitlines()[0].count(",") >= 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("tau,blocks", [(False, False), (True, False), (False, True), (True, True)])
+def test_bounds_csv_rows_have_equal_length(capsys, tau_file, n, tau, blocks):
+    # sources such as "n = 2m" hold commas, which csv quoting keeps in one cell
+    argv = ["bounds", "--g", "2", "--n", str(n)]
+    argv += ["--tau", tau_file] * tau + ["--blocks", "1,1"] * blocks
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    blob = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len({len(r) for r in rows}) == 1
+    records = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert [r["source"] for r in records] == [r["source"] for r in blob["rows"]]
+    assert ("decomposable_bound" in rows[0]) == blocks
+    assert ("theta_n" in rows[0] and "verdict" in rows[0]) == tau
+    if blocks:
+        assert {r["decomposable_bound"] for r in records} == {str(blob["decomposable_bound"])}
+    if tau:
+        assert [r["verdict"] for r in records] == [v["verdict"] for v in blob["verdicts"]]
+        assert {r["theta_n"] for r in records} == {str(blob["theta_n"])}
+
+
+def test_bounds_table_format_carries_verdicts(capsys, tau_file):
+    argv = ["--tau", tau_file, "--blocks", "1,1", "--format", "table"]
+    code, out, _ = run(capsys, "bounds", "--g", "2", "--n", "2", *argv)
+    assert code == 0
+    header = out.splitlines()[0].split()
+    assert {"decomposable_bound", "theta_n", "verdict"} <= set(header)
+
+
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits", "--g", "2")
     assert code == 0

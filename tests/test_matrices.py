@@ -14,7 +14,6 @@ from thetalab.matrices import (
     build_L,
     build_M,
     eigen_multiplicity,
-    exact_det,
     exact_rank,
     export_json,
     fay_multiplicities,
@@ -42,14 +41,6 @@ def test_exact_rank_against_sympy():
 
 def test_exact_rank_zero_matrix():
     assert exact_rank([[0, 0], [0, 0]]) == 0
-
-
-def test_exact_det_against_sympy():
-    rng = random.Random(4)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        data = random_int_matrix(rng, n, n)
-        assert exact_det(data) == sympy.Matrix(data).det()
 
 
 def test_eigen_multiplicity_diag():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thetalab.errors import VerificationError
 from thetalab.matrices import build_B, build_Bk, exact_rank
@@ -39,6 +42,70 @@ def test_batched_rank_handles_singular_batches():
     got = batched_rank_mod_p(mats)
     want = [exact_rank(m.tolist()) for m in mats]
     assert got.tolist() == want
+
+
+@st.composite
+def mixed_batches(draw):
+    """One batch of k x k matrices, k <= 6 and |entries| <= 4, holding a
+    full-rank matrix, one with a row summed from two others, one with
+    zeroed columns and an all-zero matrix: the cases where matrices of one
+    batch run out of pivots at different steps of the elimination.  A sum of two rows stays
+    within 8, so by Hadamard every minor is below (8 sqrt 6)^6 < 5.7e7 < p
+    and the rank mod p is exactly the rational rank."""
+    k = draw(st.integers(3, 6))
+    size = draw(st.integers(4, 10))
+    mats = draw(arrays(np.int64, (size, k, k), elements=st.integers(-4, 4)))
+    mats[0] = np.diag(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    i, j, r = draw(st.permutations(range(k)))[:3]
+    mats[1, r] = mats[1, i] + mats[1, j]
+    cols = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    mats[2][:, cols] = 0
+    mats[3] = 0
+    order = draw(st.permutations(range(size)))
+    return mats[order]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mixed_batches())
+def test_batched_rank_matches_exact_on_mixed_batches(mats):
+    assert batched_rank_mod_p(mats).tolist() == [exact_rank(m) for m in mats]
+
+
+WITNESS_G3 = [
+    0, 1, 8, 2, 3, 9, 12, 13, 16, 4, 5, 10, 6, 7, 11, 14, 15, 18, 20, 21, 24, 22, 23, 25, 28, 29, 32
+]
+PROBE_NOTES = [
+    "certified witness: order 27, exact rank 19, slack 0",
+    "orders <= 7 infeasible: strict diagonal dominance (28 > 6 * 4) forces positive definiteness",
+    "no witness of order below the certified upper bound found within budget",
+]
+
+
+@pytest.mark.parametrize(
+    "budget,seed,min_rank",
+    [
+        (4000, 7, {"17": 16, "25": 19, "27": 19}),
+        (2000, 1, {"15": 14, "16": 15, "27": 19}),
+    ],
+)
+def test_h0_probe_output_pinned(budget, seed, min_rank):
+    # literals computed with the earlier two-path mod-p kernel: the screened
+    # ranks, and so the whole report, do not depend on the pivot order
+    assert h0_probe(3, budget=budget, seed=seed).to_json() == {
+        "g": 3,
+        "exhaustive": False,
+        "strategy": "uniform-sampling+greedy-swaps",
+        "h0": None,
+        "h0_upper": 27,
+        "witnesses": [WITNESS_G3],
+        "min_rank_by_order": min_rank,
+        "orders_certified_infeasible": [1, 2, 3, 4, 5, 6, 7],
+        "seed": seed,
+        "budget": budget,
+        "budget_used": budget,
+        "counterexample_found": False,
+        "notes": PROBE_NOTES,
+    }
 
 
 def test_canonicalize_mask_greedy_minimization():

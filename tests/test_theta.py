@@ -304,6 +304,15 @@ def test_qh_rank_defect_zero(g, n):
     assert sum(prof.ranks) + prof.theta_n == n ** (2 * g)
 
 
+def test_qh_rank_profile_g4_diagonal():
+    # a product of four elliptic curves: theta[delta; mu] vanishes exactly
+    # when some factor's characteristic is odd, so 3^4 constants survive
+    tau = PeriodMatrix(np.diag([1j * (0.8 + 0.4 * k) for k in range(4)]))
+    prof = qh_rank_profile(tau, 2)
+    assert prof.defect == 0
+    assert sum(prof.ranks) == 3**4
+
+
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2)])
 def test_qh_ranks_match_svd_oracle(g, n):
     # independent oracle: SVD ranks of T_mu = diag(theta[.; mu]) F, with a
