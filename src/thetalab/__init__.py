@@ -34,9 +34,9 @@ from .matrices import (
     build_Bk,
     build_L,
     build_M,
-    eigen_multiplicity,
     exact_rank,
     fay_multiplicities,
+    spectrum,
     split_blocks,
     verify_fay_spectrum,
 )

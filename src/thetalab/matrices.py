@@ -2,20 +2,21 @@
 
 The sign matrix of the symplectic pairing on F_2^{2g} splits into blocks by
 parity of the indexing characteristics; all spectral and rank claims about
-those blocks are checked with exact integer arithmetic (rank of
-A - lambda*I by fraction-free elimination), never with floating-point
-eigensolvers.
+those blocks are checked with exact integer arithmetic, never with
+floating-point eigensolvers: every multiplicity by an annihilating polynomial
+(`spectrum`), every rank by an entrywise identity such as B = N N^t =
+2^(g-1)(2^g I - M+).  Bareiss `exact_rank` serves the search's submatrices.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
-inside int64; ranks are taken on python ints.
+inside int64; Bareiss ranks are taken on python ints.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -71,10 +72,39 @@ def exact_rank(mat) -> int:
     return rank
 
 
-def eigen_multiplicity(mat, lam: int) -> int:
-    """Geometric multiplicity of an integer eigenvalue via exact rank."""
-    mat = np.asarray(mat, dtype=np.int64)
-    return len(mat) - exact_rank(mat - lam * np.eye(len(mat), dtype=np.int64))
+def _product(mats, n: int) -> np.ndarray:
+    return reduce(np.matmul, mats) if mats else np.eye(n, dtype=np.int64)
+
+
+def spectrum(mat, eigenvalues) -> dict:
+    """Exact multiplicities {lambda: m} of an integer matrix A whose spectrum
+    lies among the given distinct integers lambda_1..lambda_r.
+
+    prod_i (A - lambda_i I) = 0 (else VerificationError) proves A diagonalizable
+    with every eigenvalue among the lambda_i; then Q_i = prod_{j != i}
+    (A - lambda_j I) is prod_{j != i} (lambda_i - lambda_j) times the spectral
+    projector, whose trace is m_i.  ValueError is raised before any product
+    unless n (||A||_inf + max |lambda_i|)^r < 2^62, which rules out int64 overflow.
+    """
+    a = np.asarray(mat, dtype=np.int64)
+    n = len(a)
+    lams = [int(x) for x in eigenvalues]
+    if len(set(lams)) != len(lams):
+        raise ValueError("eigenvalues must be distinct")
+    norm = int(np.abs(a.astype(object)).sum(axis=1).max()) + max(map(abs, lams), default=0)
+    if n * norm ** len(lams) >= 2**62:
+        raise ValueError("spectrum: int64 products could overflow")
+    eye = np.eye(n, dtype=np.int64)
+    shifted = [a - lam * eye for lam in lams]
+    _require_entrywise(_product(shifted, n), 0, f"prod (A - lambda I) = 0 over {lams}")
+    mult = {}
+    for i, lam in enumerate(lams):
+        c = prod(lam - mu for mu in lams if mu != lam)
+        m, rem = divmod(int(np.trace(_product(shifted[:i] + shifted[i + 1 :], n))), c)
+        if rem:
+            raise VerificationError(f"trace of the projector for {lam} is not a multiple of {c}")
+        mult[lam] = m
+    return mult
 
 
 @cache
@@ -125,11 +155,13 @@ def _claim(report, name, ok, detail=""):
 def verify_fay_spectrum(g: int):
     """Exact verification of every spectral claim about M, M+, M-.
 
+    Multiplicities come from `spectrum`; the rank and kernel claims from the
+    entrywise Gram identities N N^t = 2^(g-1)(2^g I - M+) and N^t N =
+    2^(g-1)(2^g I + M-), since a Gram matrix has the kernel of its factor.
+
     Returns the claim-by-claim report; raises VerificationError on the first
     mismatch, naming the claim.
     """
-    if g > 3:
-        raise ValueError("verification supported for g <= 3")
     m = build_M(g)
     mp, mm, n = split_blocks(m)
     closed = fay_multiplicities(g)
@@ -137,43 +169,29 @@ def verify_fay_spectrum(g: int):
 
     _claim(report, f"M({g})^2 = 4^{g} I", np.array_equal(m @ m, 4**g * np.eye(len(m), dtype=np.int64)))
 
+    mult = {}
     for name, mat in (("M", m), ("M+", mp), ("M-", mm)):
-        total = 0
+        mult[name] = spectrum(mat, closed[name])
         for lam, want in sorted(closed[name].items()):
-            got = eigen_multiplicity(mat, lam)
-            total += got
-            _claim(
-                report,
-                f"{name}({g}) eigenvalue {lam} multiplicity {want}",
-                got == want,
-                f"got {got}",
-            )
-        _claim(
-            report,
-            f"{name}({g}) multiplicities exhaust the space",
-            total == len(mat),
-            f"sum {total} vs {len(mat)}",
-        )
+            got = mult[name][lam]
+            _claim(report, f"{name}({g}) eigenvalue {lam} multiplicity {want}", got == want, f"got {got}")
+        total = sum(mult[name].values())
+        detail = f"sum {total} vs {len(mat)}"
+        _claim(report, f"{name}({g}) multiplicities exhaust the space", total == len(mat), detail)
 
     # Columns of N are -2^{g-1}-eigenvectors of M+: M+ N = -2^{g-1} N.
     _claim(report, f"M+({g}) N = -2^{g-1} N", np.array_equal(mp @ n, -(2 ** (g - 1)) * n))
 
-    # rank N = (4^g - 1)/3 = dim of that eigenspace, so the columns span it.
-    rk_n = exact_rank(n)
-    want = (4**g - 1) // 3
-    _claim(report, f"rank N({g}) = (4^{g}-1)/3 = {want}", rk_n == want, f"got {rk_n}")
+    # ker(2^g - M+) = ker(N N^t) = ker(N^t) and ker(2^g + M-) = ker(N^t N) = ker(N).
+    plus_gram = np.array_equal(n @ n.T, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
+    minus_gram = np.array_equal(n.T @ n, 2 ** (g - 1) * (2**g * np.eye(len(mm), dtype=np.int64) + mm))
 
-    # Eigenvector equivalences, proved by exact rank inclusions:
-    # ker(M+ - 2^g I) = ker(N^t) and ker(M- + 2^g I) = ker(N).
-    for name, mat, lam, other in (
-        ("ker(M+ - 2^g) = ker(N^t)", mp, 2**g, n.T),
-        ("ker(M- + 2^g) = ker(N)", mm, -(2**g), n),
-    ):
-        shifted = mat - lam * np.eye(len(mat), dtype=np.int64)
-        r_shift = exact_rank(shifted)
-        contained = exact_rank(np.vstack([shifted, other])) == r_shift
-        dims_match = (len(mat) - r_shift) == (other.shape[1] - exact_rank(other))
-        _claim(report, f"{name} at g={g}", contained and dims_match)
+    # rank N = rank N N^t = |K+| - mult_{2^g}(M+) = (4^g - 1)/3.
+    rk_n = len(mp) - mult["M+"][2**g]
+    want = (4**g - 1) // 3
+    _claim(report, f"rank N({g}) = (4^{g}-1)/3 = {want}", plus_gram and rk_n == want, f"got {rk_n}")
+    _claim(report, f"ker(M+ - 2^g) = ker(N^t) at g={g}", plus_gram)
+    _claim(report, f"ker(M- + 2^g) = ker(N) at g={g}", minus_gram)
 
     # Trace identity: mult(+2^g) - mult(-2^g) = tr(M)/2^g = 2^g.
     diff = closed["M"][2**g] - closed["M"][-(2**g)]
@@ -185,8 +203,6 @@ def verify_fay_spectrum(g: int):
 @cache
 def build_B(g: int) -> np.ndarray:
     """B = N N^t, verified entrywise against 2^{g-1}(2^g I - M+)."""
-    if g > 3:
-        raise ValueError("build_B supported for g <= 3")
     mp, _, n = split_blocks(build_M(g))
     b = n @ n.T
     want = 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp)
@@ -194,12 +210,15 @@ def build_B(g: int) -> np.ndarray:
     return _frozen(b)
 
 
+def kron_multiplicities(g: int) -> dict:
+    """Closed-form spectrum of L(g): (-1)^k 2^{g-k} with multiplicity C(g,k) 2^{g-k}."""
+    return {(-1) ** k * 2 ** (g - k): comb(g, k) * 2 ** (g - k) for k in range(g + 1)}
+
+
 @cache
 def build_L(g: int) -> np.ndarray:
-    """g-fold Kronecker power of M+(1); spectrum verified exactly.
-
-    Eigenvalue (-1)^k 2^{g-k} has multiplicity C(g,k) 2^{g-k}, k = 0..g.
-    """
+    """g-fold Kronecker power of M+(1); its spectrum is certified exactly by
+    `spectrum` against `kron_multiplicities` at every g."""
     if g < 1:
         raise ValueError("g must be >= 1")
     if 3**g > SIZE_CAP:
@@ -209,19 +228,10 @@ def build_L(g: int) -> np.ndarray:
     l = np.ones((1, 1), dtype=np.int64)
     for _ in range(g):
         l = np.kron(l, base)
-    if g <= 3:
-        total = 0
-        for k in range(g + 1):
-            lam = (-1) ** k * 2 ** (g - k)
-            want = comb(g, k) * 2 ** (g - k)
-            got = eigen_multiplicity(l, lam)
-            total += got
-            if got != want:
-                raise VerificationError(
-                    f"L({g}) eigenvalue {lam}: multiplicity {got}, expected {want}"
-                )
-        if total != 3**g:
-            raise VerificationError(f"L({g}) multiplicities do not exhaust 3^{g}")
+    closed = kron_multiplicities(g)
+    got = spectrum(l, closed)
+    if got != closed:
+        raise VerificationError(f"L({g}) multiplicities {got}, expected {closed}")
     return _frozen(l)
 
 
@@ -242,22 +252,18 @@ def bk_selection(g: int) -> tuple:
 
 @cache
 def build_Bk(g: int):
-    """Strictly-even principal submatrix of B; identity and rank checked.
+    """Strictly-even principal submatrix of B, checked entrywise against
+    2^{g-1}(2^g I - L(g)).
 
-    Returns (submatrix, selection indices).  The submatrix must equal
-    2^{g-1}(2^g I - L(g)) and have rank 3^g - 2^g.
+    Returns (submatrix, selection indices).  The identity and build_L's
+    spectrum certificate (mult_{2^g}(L) = 2^g, L diagonalizable) prove
+    rank B_k = 3^g - 2^g with no elimination.
     """
-    if g > 3:
-        raise ValueError("build_Bk supported for g <= 3")
     b = build_B(g)
     sel = bk_selection(g)
     bk = b[np.ix_(sel, sel)]
     want = 2 ** (g - 1) * (2**g * np.eye(len(sel), dtype=np.int64) - build_L(g))
     _require_entrywise(bk, want, f"Bk = 2^(g-1)(2^g I - L) for g={g}")
-    rk = exact_rank(bk)
-    want = 3**g - 2**g
-    if rk != want:
-        raise VerificationError(f"rank Bk({g}) = {rk}, expected {want}")
     return _frozen(bk), sel
 
 

@@ -3,8 +3,9 @@
 The target quantity is the smallest order k admitting a principal submatrix
 S with rank(S) <= k - 2^g.  At g = 2 the 2^10 masks are scanned exhaustively
 with exact integer ranks.  At g = 3 the strictly-even submatrix gives a
-certified witness of order 27 and rank 19, the rank proved exactly by
-build_Bk; orders <= 7 are certified infeasible by strict diagonal dominance;
+certified witness of order 27 and rank 19, the rank proved without
+elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum
+certificate of L; orders <= 7 are certified infeasible by strict diagonal dominance;
 the remaining orders are probed by seeded randomized search.  The probe
 screens whole batches of candidates with one batched elimination mod the
 prime 2^31 - 1 (a lower bound on the rational rank, so no true witness can
@@ -193,8 +194,8 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
         budget=int(budget),
     )
 
-    # build_Bk has proved exactly that b[sel, sel] has rank 3^g - 2^g, the
-    # certificate of this witness, so its rank is read rather than recomputed
+    # build_Bk and build_L have proved exactly that b[sel, sel] has rank
+    # 3^g - 2^g, the certificate of this witness, so it is not recomputed
     _, sel = build_Bk(g)
     wit_rank = len(sel) - need
     report.h0_upper = len(sel)

@@ -242,6 +242,45 @@ def test_verify_g3_builds_each_matrix_once(capsys, monkeypatch):
     assert built.count(3) == 1
 
 
+def test_verify_g3_makes_no_elimination(capsys, monkeypatch):
+    matrices = importlib.import_module("thetalab.matrices")
+    for build in (matrices.build_M, matrices.build_B, matrices.build_L, matrices.build_Bk):
+        build.cache_clear()
+    calls = []
+    rank = matrices.exact_rank
+    monkeypatch.setattr(matrices, "exact_rank", lambda mat: calls.append(mat) or rank(mat))
+    code, _, err = run(capsys, "verify", "--g", "3", "--seed", "5")
+    assert code == 0
+    assert "FAIL" not in err
+    assert calls == []
+
+
+def test_verify_g4(capsys):
+    code, out, err = run(capsys, "verify", "--g", "4", "--seed", "0")
+    assert code == 0
+    assert "FAIL" not in err
+    claims = {c["claim"]: c for c in json.loads(out)["claims"]}
+    assert claims["rank N(4) = (4^4-1)/3 = 85"]["detail"] == "got 85"
+    assert claims["addition formula residual, all 256 characteristics"]["pass"]
+
+
+@pytest.mark.parametrize("g,message", [("0", "g must be >= 1"), ("5", "size cap: 4^g must be <= 256")])
+def test_verify_out_of_range_genus_exits_2(capsys, g, message):
+    code, out, err = run(capsys, "verify", "--g", g)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name,size", [("B", 136), ("Bk", 81)])
+def test_export_matrix_g4(capsys, name, size):
+    code, out, _ = run(capsys, "export-matrix", "--name", name, "--g", "4")
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["rows"], blob["cols"]) == (size, size)
+    assert np.array(blob["data"]).shape == (size, size)
+
+
 def test_export_matrix_deterministic(capsys):
     _, out1, _ = run(capsys, "export-matrix", "--name", "B", "--g", "2")
     _, out2, _ = run(capsys, "export-matrix", "--name", "B", "--g", "2")

@@ -1,7 +1,10 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.characteristics import canonical_f2_order
 from thetalab.errors import VerificationError
@@ -13,22 +16,28 @@ from thetalab.matrices import (
     build_Bk,
     build_L,
     build_M,
-    eigen_multiplicity,
     exact_rank,
     export_json,
     fay_multiplicities,
+    kron_multiplicities,
+    spectrum,
     split_blocks,
     verify_fay_spectrum,
 )
-
-sympy = pytest.importorskip("sympy")
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def eigen_multiplicity(mat, lam):
+    """Bareiss oracle: geometric multiplicity as the nullity of A - lam I."""
+    mat = np.asarray(mat, dtype=np.int64)
+    return len(mat) - exact_rank(mat - lam * np.eye(len(mat), dtype=np.int64))
+
+
 def test_exact_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
     for _ in range(40):
         rows = rng.randint(1, 8)
@@ -48,6 +57,88 @@ def test_eigen_multiplicity_diag():
     assert eigen_multiplicity(mat, 2) == 2
     assert eigen_multiplicity(mat, 5) == 1
     assert eigen_multiplicity(mat, 7) == 0
+    assert spectrum(mat, [2, 5, 7]) == {2: 2, 5: 1, 7: 0}
+
+
+def _with_closed_form(name, g):
+    if name == "L":
+        return build_L(g), kron_multiplicities(g)
+    m = build_M(g)
+    mp, mm, _ = split_blocks(m)
+    return {"M": m, "M+": mp, "M-": mm}[name], fay_multiplicities(g)[name]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("name", ["M", "M+", "M-", "L"])
+def test_spectrum_matches_bareiss_oracle(name, g):
+    mat, closed = _with_closed_form(name, g)
+    got = spectrum(mat, closed)
+    assert got == closed
+    assert got == {lam: eigen_multiplicity(mat, lam) for lam in closed}
+
+
+def test_spectrum_rejects_a_flipped_entry():
+    mp = split_blocks(build_M(2))[0].copy()
+    mp[0, 3] = -mp[0, 3]
+    with pytest.raises(VerificationError, match="fails at entry"):
+        spectrum(mp, fay_multiplicities(2)["M+"])
+    l = build_L(3).copy()
+    l[4, 7] += 1
+    with pytest.raises(VerificationError):
+        spectrum(l, kron_multiplicities(3))
+
+
+def test_spectrum_rejects_a_jordan_block():
+    with pytest.raises(VerificationError):
+        spectrum([[2, 1], [0, 2]], [2])
+
+
+def test_spectrum_rejects_a_missing_eigenvalue():
+    with pytest.raises(VerificationError):
+        spectrum([[2, 0, 0], [0, 2, 0], [0, 0, 5]], [2])
+    with pytest.raises(VerificationError):
+        spectrum(build_M(2), [16])
+
+
+def test_spectrum_overflow_guard():
+    # n (||A|| + max|lambda|)^r = 2 * 2^31 * 2^31 = 2^63
+    with pytest.raises(ValueError, match="overflow"):
+        spectrum([[2**30, 0], [0, 2**30]], [2**30, -(2**30)])
+    with pytest.raises(ValueError, match="distinct"):
+        spectrum([[1]], [1, 1])
+
+
+@st.composite
+def conjugated_diagonals(draw):
+    """(U D U^-1, D) with U unimodular: a product of elementary row operations."""
+    n = draw(st.integers(1, 5))
+    diag = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    u = np.eye(n, dtype=np.int64)
+    u_inv = np.eye(n, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        # U <- (I + c e_ij) U, and U^-1 <- U^-1 (I - c e_ij)
+        u[i] += c * u[j]
+        u_inv[:, j] -= c * u_inv[:, i]
+    assert np.array_equal(u @ u_inv, np.eye(n, dtype=np.int64))
+    return u @ np.diag(diag) @ u_inv, diag
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(conjugated_diagonals(), st.lists(st.integers(-4, 4), max_size=2))
+def test_spectrum_of_conjugated_diagonal(case, extra):
+    a, diag = case
+    lams = sorted(set(diag) | set(extra))
+    norm = int(np.abs(a).sum(axis=1).max()) + max(map(abs, lams))
+    if len(a) * norm ** len(lams) >= 2**62:
+        with pytest.raises(ValueError, match="overflow"):
+            spectrum(a, lams)
+        return
+    assert spectrum(a, lams) == {lam: diag.count(lam) for lam in lams}
+    if len(set(diag)) > 1:
+        with pytest.raises(VerificationError):
+            spectrum(a, sorted(set(diag))[1:])
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -103,12 +194,75 @@ def test_fay_multiplicities_sum(g):
     assert mult["M+"][-(2 ** (g - 1))] == (4**g - 1) // 3
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_verify_fay_spectrum(g):
     claims = verify_fay_spectrum(g)
     assert len(claims) >= 15
     assert all(c["pass"] for c in claims)
     assert any(f"rank N({g})" in c["claim"] and c["detail"] == f"got {(4**g - 1) // 3}" for c in claims)
+
+
+def test_verify_fay_spectrum_claims_pinned():
+    claims = [(c["claim"], c["detail"]) for c in verify_fay_spectrum(3)]
+    assert claims == [
+        ("M(3)^2 = 4^3 I", ""),
+        ("M(3) eigenvalue -8 multiplicity 28", "got 28"),
+        ("M(3) eigenvalue 8 multiplicity 36", "got 36"),
+        ("M(3) multiplicities exhaust the space", "sum 64 vs 64"),
+        ("M+(3) eigenvalue -4 multiplicity 21", "got 21"),
+        ("M+(3) eigenvalue 8 multiplicity 15", "got 15"),
+        ("M+(3) multiplicities exhaust the space", "sum 36 vs 36"),
+        ("M-(3) eigenvalue -8 multiplicity 7", "got 7"),
+        ("M-(3) eigenvalue 4 multiplicity 21", "got 21"),
+        ("M-(3) multiplicities exhaust the space", "sum 28 vs 28"),
+        ("M+(3) N = -2^2 N", ""),
+        ("rank N(3) = (4^3-1)/3 = 21", "got 21"),
+        ("ker(M+ - 2^g) = ker(N^t) at g=3", ""),
+        ("ker(M- + 2^g) = ker(N) at g=3", ""),
+        ("trace parity of M(3)", ""),
+    ]
+
+
+def test_verify_fay_spectrum_rejects_a_mutated_block(monkeypatch):
+    mp, mm, n = split_blocks(build_M(2))
+    mp = mp.copy()
+    mp[1, 2] = mp[2, 1] = -mp[1, 2]
+    # M itself is intact, so M^2 = 4^g I passes and the spectrum of M+ must fail
+    monkeypatch.setattr("thetalab.matrices.split_blocks", lambda m: (mp, mm, n))
+    with pytest.raises(VerificationError, match=r"prod \(A - lambda I\) = 0 over \[4, -2\]"):
+        verify_fay_spectrum(2)
+
+
+def test_verify_rank_and_kernel_claims_read_the_gram_identities(monkeypatch):
+    mp, mm, n = split_blocks(build_M(2))
+    # 2N keeps M+ N = -2^(g-1) N but breaks N N^t = 2^(g-1)(2^g I - M+)
+    monkeypatch.setattr("thetalab.matrices.split_blocks", lambda m: (mp, mm, 2 * n))
+    with pytest.raises(VerificationError, match=r"rank N\(2\)"):
+        verify_fay_spectrum(2)
+    # swapping two columns keeps N N^t but breaks N^t N = 2^(g-1)(2^g I + M-)
+    monkeypatch.setattr("thetalab.matrices.split_blocks", lambda m: (mp, mm, n[:, [1, 0, 2, 3, 4, 5]]))
+    with pytest.raises(VerificationError, match=r"ker\(M- \+ 2\^g\) = ker\(N\)"):
+        verify_fay_spectrum(2)
+
+
+@pytest.mark.parametrize(
+    "factor,message",
+    [
+        ([[-1, 1, 1], [1, 1, -1], [1, -1, 1]], r"prod \(A - lambda I\)"),
+        # eigenvalues 2, -1, -1: L(2) is annihilated, but 4 has multiplicity 1
+        ([[2, 0, 0], [0, -1, 0], [0, 0, -1]], r"L\(2\) multiplicities"),
+    ],
+)
+def test_build_L_gate_rejects_a_wrong_factor(monkeypatch, factor, message):
+    m1 = build_M(1).copy()
+    m1[:3, :3] = factor
+    monkeypatch.setattr("thetalab.matrices.build_M", lambda g: m1)
+    build_L.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match=message):
+            build_L(2)
+    finally:
+        build_L.cache_clear()
 
 
 @pytest.mark.parametrize("g,rank", [(1, 1), (2, 5), (3, 21)])
@@ -135,11 +289,25 @@ def test_B_definition(g):
 def test_L_spectrum(g):
     l = build_L(g)
     assert l.shape == (3**g, 3**g)
-    from math import comb
-
     for k in range(g + 1):
         lam = (-1) ** k * 2 ** (g - k)
         assert eigen_multiplicity(l, lam) == comb(g, k) * 2 ** (g - k)
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_L_spectrum_gate_runs_beyond_genus_3(g):
+    build_L.cache_clear()
+    l = build_L(g)
+    assert l.shape == (3**g, 3**g)
+    assert spectrum(l, kron_multiplicities(g)) == kron_multiplicities(g)
+    assert sum(kron_multiplicities(g).values()) == 3**g
+
+
+def test_genus_4_builders():
+    assert build_B(4).shape == (136, 136)
+    bk, sel = build_Bk(4)
+    assert bk.shape == (81, 81) and len(sel) == 81
+    assert len(bk) - spectrum(build_L(4), kron_multiplicities(4))[16] == 81 - 16
 
 
 def test_entrywise_identity_names_first_bad_entry():
