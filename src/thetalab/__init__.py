@@ -13,7 +13,6 @@ from .bounds import (
 )
 from .characteristics import (
     Characteristic,
-    SymplecticMap,
     act,
     count_parity,
     enumerate_characteristics,

@@ -8,6 +8,7 @@ fractional bound is floored and flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,17 @@ REMARK = "remark"
 SATISFIED = "SATISFIED"
 VIOLATED = "VIOLATED"
 NOT_APPLICABLE = "NOT-APPLICABLE"
+
+# most decimal digits of n^{2g}, the largest value a table prints; Python
+# refuses to print a longer int by default
+MAX_DIGITS = 4300
+
+
+def _check_digits(g: int, n: int):
+    """Refuse (g, n) before any power is formed when n^{2g} has more than
+    MAX_DIGITS decimal digits, i.e. when 2g log10(n) >= MAX_DIGITS."""
+    if 2 * g * math.log10(n) >= MAX_DIGITS:
+        raise ValueError(f"digit limit: n^(2g) would have more than {MAX_DIGITS} decimal digits")
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,7 @@ def evaluate_bounds(g: int, n: int, assume_simple: bool = False):
     """All bound rows applicable at (g, n), sorted ascending by value."""
     if g < 1 or n < 2:
         raise ValueError("need g >= 1 and n >= 2")
+    _check_digits(g, n)
     rows = []
 
     if n == 2:
@@ -149,6 +162,7 @@ def decomposable_bound(blocks, n: int) -> int:
     if n < 2:
         raise ValueError("level n must be >= 2")
     g = sum(blocks)
+    _check_digits(g, n)
     if n == 2:
         prod = Fraction(1)
         for b in blocks:

@@ -4,9 +4,11 @@ A level-n characteristic is a pair of integer vectors (a, b) mod n encoding
 (delta, eps) = (a/n, b/n) in (1/n)Z^g / Z^g.  For n = 2 a characteristic is
 identified with the vector a ++ b of F_2^{2g}, which carries the standard
 symplectic pairing; its parity is the quadratic form sum_i a_i b_i.
-Sp(2g, F_2) acts on half-integer characteristics by an affine formula;
-a hard-coded generator set for g <= 3 is tabulated once as index
-permutations, and orbits are closures over that table.
+Symplectic elements are plain 2g x 2g integer matrices in Sp(2g, Z); they
+act on half-integer characteristics by an affine formula that only reads
+them mod 2.  A generator set of Sp(2g, Z) is tabulated once per g as index
+permutations of the 4^g characteristics, and orbits are closures over that
+table; both run while the points fit in MAX_CHARACTERISTICS.
 """
 
 from __future__ import annotations
@@ -72,19 +74,10 @@ def parity(c: Characteristic) -> str:
 
 
 def count_parity(g: int):
-    """(even, odd) counts: (2^{g-1}(2^g+1), 2^{g-1}(2^g-1)).
-
-    For small g the closed form is cross-checked against a direct tally.
-    """
+    """(even, odd) counts: (2^{g-1}(2^g+1), 2^{g-1}(2^g-1))."""
     if g < 1:
         raise ValueError("g must be >= 1")
-    even = 2 ** (g - 1) * (2**g + 1)
-    odd = 2 ** (g - 1) * (2**g - 1)
-    if g <= 8:
-        tally = sum(1 for c in enumerate_characteristics(g, 2) if parity(c) == ODD)
-        if tally != odd:
-            raise AssertionError("parity tally disagrees with closed form")
-    return even, odd
+    return 2 ** (g - 1) * (2**g + 1), 2 ** (g - 1) * (2**g - 1)
 
 
 def symplectic_pairing(m: Characteristic, n: Characteristic) -> int:
@@ -108,110 +101,83 @@ def canonical_f2_order(g: int):
     return isotropic_vectors(g) + [c for c in enumerate_characteristics(g, 2) if parity(c) == ODD]
 
 
-def _f2(mat) -> np.ndarray:
-    return np.asarray(mat, dtype=np.int64) % 2
+def _check_points(g: int, tuples: int = 1):
+    """Refuse g < 1 and more than MAX_CHARACTERISTICS points 4^(g * tuples)."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    # the exponent is tested first, so a huge g never forms the power
+    if g * tuples > MAX_CHARACTERISTICS or 4 ** (g * tuples) > MAX_CHARACTERISTICS:
+        raise ValueError(f"size cap: 4^(g*tuples) = 4^{g * tuples} points exceed {MAX_CHARACTERISTICS}")
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
-    """Element of Sp(2g, F_2) given by g x g blocks [[a, b], [c, d]]."""
+def _act_rows(gamma: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Affine action of gamma = (A B; C D) in Sp(2g, Z) on the rows of an
+    (N, 2g) 0/1 array of a||b, mod 2.
 
-    g: int
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            blk = _f2(getattr(self, name))
-            if blk.shape != (self.g, self.g):
-                raise ValueError(f"block {name} must be {self.g}x{self.g}")
-            object.__setattr__(self, name, tuple(tuple(int(x) for x in row) for row in blk))
-        m = self.matrix()
-        j = np.zeros((2 * self.g, 2 * self.g), dtype=np.int64)
-        j[: self.g, self.g :] = np.eye(self.g, dtype=np.int64)
-        j[self.g :, : self.g] = np.eye(self.g, dtype=np.int64)
-        if not np.array_equal((m.T @ j @ m) % 2, j):
-            raise ValueError("matrix does not preserve the symplectic form mod 2")
-
-    def matrix(self) -> np.ndarray:
-        top = np.hstack([_f2(self.a), _f2(self.b)])
-        bot = np.hstack([_f2(self.c), _f2(self.d)])
-        return np.vstack([top, bot])
-
-    @classmethod
-    def from_matrix(cls, m) -> "SymplecticMap":
-        m = _f2(m)
-        g = m.shape[0] // 2
-        return cls(g, m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
-
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMap":
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(g, eye, zero, zero, eye)
-
-    def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
-        return SymplecticMap.from_matrix(self.matrix() @ other.matrix())
-
-
-def _act_rows(gamma: SymplecticMap, ab: np.ndarray) -> np.ndarray:
-    """Affine Sp(2g, F_2) action on the rows of an (N, 2g) 0/1 array of a||b.
-
-    gamma.[delta; eps] = (d, -c; -b, a)(delta; eps) + (diag(c d^t); diag(a b^t)),
-    computed on the F_2 representatives (a, b) with all arithmetic mod 2.
-    The diag(c d^t) form of the inhomogeneous term is the one that makes
+    gamma.[a; b] = (D, -C; -B, A)(a; b) + (diag(C D^t); diag(A B^t)), the
+    action under which |theta[gamma.m](gamma tau, 0)| is
+    |det(C tau + D)|^(1/2) |theta[m](tau, 0)|.  The signs drop out mod 2.
+    The diag(C D^t) form of the inhomogeneous term is the one that makes
     this a genuine left action (the transposed variant anti-composes).
     """
-    a, b, c, d = (_f2(gamma.a), _f2(gamma.b), _f2(gamma.c), _f2(gamma.d))
+    g = ab.shape[1] // 2
+    gamma = np.asarray(gamma, dtype=np.int64) % 2
+    a, b, c, d = gamma[:g, :g], gamma[:g, g:], gamma[g:, :g], gamma[g:, g:]
     linear = np.block([[d, c], [b, a]])
     shift = np.concatenate([np.diag(c @ d.T), np.diag(a @ b.T)])
     return (ab @ linear.T + shift) % 2
 
 
-def act(gamma: SymplecticMap, c: Characteristic) -> Characteristic:
-    """Image of one half-integer characteristic under gamma (see _act_rows)."""
+def act(gamma, c: Characteristic) -> Characteristic:
+    """Image of one half-integer characteristic under a 2g x 2g integer
+    matrix gamma (see _act_rows).
+
+    The level-2 action reads gamma only mod 2, so it checks only that gamma
+    preserves J = (0 I; -I 0) mod 2; ValueError otherwise, and for a wrong
+    shape or a non-integer entry.
+    """
     if c.n != 2:
         raise ValueError("the symplectic action is implemented at level 2")
-    if gamma.g != c.g:
-        raise ValueError("mismatched g")
-    ab = _act_rows(gamma, np.array([c.a + c.b], dtype=np.int64))[0]
-    return Characteristic(c.g, 2, ab[: c.g], ab[c.g :])
-
-
-def symplectic_generators(g: int):
-    """Generator list for Sp(2g, F_2): symplectic transvection-type elements.
-
-    Upper/lower unipotent blocks for a basis of symmetric matrices, the Weyl
-    swap, and GL(g, 2) elementary transvections embedded diagonally.
-    """
-    if g not in (1, 2, 3):
-        raise ValueError("generators are hard-coded for g in {1, 2, 3}")
+    g = c.g
+    gamma = np.asarray(gamma)
+    if gamma.shape != (2 * g, 2 * g) or not np.array_equal(gamma, np.round(gamma)):
+        raise ValueError(f"gamma must be a {2 * g}x{2 * g} integer matrix")
+    gamma = gamma.astype(np.int64)
     eye = np.eye(g, dtype=np.int64)
-    zero = np.zeros((g, g), dtype=np.int64)
+    j = np.block([[0 * eye, eye], [-eye, 0 * eye]])
+    if np.any((gamma.T @ j @ gamma - j) % 2):
+        raise ValueError("matrix does not preserve the symplectic form mod 2")
+    ab = _act_rows(gamma, np.array([c.a + c.b], dtype=np.int64))[0]
+    return Characteristic(g, 2, ab[:g], ab[g:])
+
+
+@cache
+def symplectic_generators(g: int) -> np.ndarray:
+    """Generators of Sp(2g, Z) as a read-only int64 array (generators, 2g, 2g).
+
+    In order: (I S; 0 I) then (I 0; S I) for each S of the symmetric basis
+    (the E_ii, then E_ij + E_ji for i < j), the Weyl element (0 I; -I 0),
+    and (U 0; 0 U^-t) for U = I + E_ij, i != j, so U^-t = I - E_ji.  Each
+    satisfies gamma^t J gamma = J over Z; mod 2 they generate Sp(2g, F_2).
+    Refused when 4^g exceeds MAX_CHARACTERISTICS, the table it feeds.
+    """
+    _check_points(g)
+    eye = np.eye(g, dtype=np.int64)
+    zero = 0 * eye
+    pairs = [(i, i) for i in range(g)] + [(i, j) for i in range(g) for j in range(i + 1, g)]
     gens = []
-    sym_basis = []
-    for i in range(g):
-        e = np.zeros((g, g), dtype=np.int64)
-        e[i, i] = 1
-        sym_basis.append(e)
-    for i in range(g):
-        for j in range(i + 1, g):
-            e = np.zeros((g, g), dtype=np.int64)
-            e[i, j] = e[j, i] = 1
-            sym_basis.append(e)
-    for s in sym_basis:
-        gens.append(SymplecticMap(g, eye, s, zero, eye))
-        gens.append(SymplecticMap(g, eye, zero, s, eye))
-    gens.append(SymplecticMap(g, zero, eye, eye, zero))
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            u = eye.copy()
-            u[i, j] = 1
-            gens.append(SymplecticMap(g, u, zero, zero, u.T))
+    for i, j in pairs:
+        s = zero.copy()
+        s[i, j] = s[j, i] = 1
+        gens += [np.block([[eye, s], [zero, eye]]), np.block([[eye, zero], [s, eye]])]
+    gens.append(np.block([[zero, eye], [-eye, zero]]))
+    for i, j in product(range(g), repeat=2):
+        if i != j:
+            u, u_inv_t = eye.copy(), eye.copy()
+            u[i, j], u_inv_t[j, i] = 1, -1
+            gens.append(np.block([[u, zero], [zero, u_inv_t]]))
+    gens = np.stack(gens)
+    gens.flags.writeable = False
     return gens
 
 
@@ -224,74 +190,72 @@ def generator_permutations(g: int) -> np.ndarray:
     image under generator i.  Built once per g; read-only int64 array of
     shape (number of generators, 4^g).
     """
-    gens = symplectic_generators(g)
-    shifts = np.arange(2 * g - 1, -1, -1)
-    ab = (np.arange(4**g)[:, None] >> shifts) & 1
-    perms = np.stack([_act_rows(gamma, ab) @ (1 << shifts) for gamma in gens])
+    # the action is affine over F_2: the image of x | 2^k, x < 2^k, is the
+    # image of x xor the images of 2^k and of 0, so one xor per index
+    units = np.vstack([np.zeros(2 * g, dtype=np.int64), np.eye(2 * g, dtype=np.int64)[::-1]])
+    perms = []
+    for gamma in symplectic_generators(g):
+        zero, *bits = _act_rows(gamma, units) @ (1 << np.arange(2 * g - 1, -1, -1))
+        perm = np.array([zero])
+        for image in bits:
+            perm = np.concatenate([perm, perm ^ image ^ zero])
+        perms.append(perm)
+    perms = np.stack(perms)
     perms.flags.writeable = False
     return perms
 
 
 def orbits(g: int, tuples: int = 1):
-    """Orbit partition under the generated group; g <= 3 only.
+    """Orbit partition of level-2 characteristics under Sp(2g, Z).
 
     tuples=1 partitions single level-2 characteristics; tuples=2 partitions
     ordered pairs of distinct same-parity characteristics and reports whether
-    each parity class of pairs forms a single orbit.
+    each parity class of pairs forms a single orbit.  ValueError when g < 1
+    or the 4^(g * tuples) points exceed MAX_CHARACTERISTICS.
     """
-    if g not in (1, 2, 3):
-        raise ValueError("orbit computation supported for g in {1, 2, 3} only")
     if tuples not in (1, 2):
         raise ValueError("tuples must be 1 or 2")
+    _check_points(g, tuples)
     perms = generator_permutations(g)
     chars = enumerate_characteristics(g, 2)
     keys = [c.key() for c in chars]
     size = len(chars)
 
     if tuples == 1:
-        points = range(size)
+        points = np.arange(size)
         moves = perms
     else:
         # the pair (x, y) is the point x * 4^g + y and moves to (p[x], p[y])
         x, y = np.divmod(np.arange(size * size), size)
         par = np.array([parity(c) for c in chars])
-        points = np.flatnonzero((x != y) & (par[x] == par[y])).tolist()
+        points = np.flatnonzero((x != y) & (par[x] == par[y]))
         moves = perms[:, x] * size + perms[:, y]
         keys = [kx + "," + ky for kx in keys for ky in keys]
 
-    images = moves.T.tolist()
-    seen = [False] * moves.shape[1]
-    closures = []
-    for start in points:
-        if seen[start]:
-            continue
-        seen[start] = True
-        orb = [start]
-        for p in orb:
-            for q in images[p]:
-                if not seen[q]:
-                    seen[q] = True
-                    orb.append(q)
-        closures.append(sorted(orb))
+    # label every point by the least point of its orbit: a label only falls,
+    # to a point of the same orbit, until it is constant along each generator
+    label = np.arange(moves.shape[1])
+    while True:
+        low = label.copy()
+        for m in moves:
+            np.minimum(low, label[m], out=low)
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.lexsort((points, label[points]))
+    cuts = np.flatnonzero(np.diff(label[points][order])) + 1
     # integer order is the order of the keys: a||b is read as a binary number
-    closures.sort(key=lambda o: (len(o), o[0]))
+    closures = sorted(np.split(points[order], cuts), key=lambda o: (len(o), o[0]))
     orbit_list = [[keys[p] for p in o] for o in closures]
-
-    report = {
-        "g": g,
-        "tuples": tuples,
-        "orbit_sizes": [len(o) for o in orbit_list],
-        "orbits": orbit_list,
-    }
+    sizes = [len(o) for o in orbit_list]
+    report = {"g": g, "tuples": tuples, "orbit_sizes": sizes, "orbits": orbit_list}
     even, odd = count_parity(g)
     if tuples == 1:
-        report["parity_classes_single_orbits"] = sorted(
-            len(o) for o in orbit_list
-        ) == sorted([even, odd])
+        report["parity_classes_single_orbits"] = sorted(sizes) == sorted([even, odd])
     else:
         # an orbit of pairs sits inside one parity class; a class is a single
         # orbit iff some orbit exhausts it
-        sizes = [len(o) for o in orbit_list]
         report["even_pairs_single_orbit"] = even * (even - 1) in sizes
         report["odd_pairs_single_orbit"] = odd <= 1 or odd * (odd - 1) in sizes
     return report

@@ -146,9 +146,7 @@ def _series_tail(lam: float, c: float, radius: int, g: int) -> float:
             return math.inf
 
 
-def theta_table(
-    tau: PeriodMatrix, z, chars, tol: float = DEFAULT_TOL, radius_cap: int = RADIUS_CAP
-) -> list:
+def theta_table(tau: PeriodMatrix, z, chars, tol: float = DEFAULT_TOL) -> list:
     """Evaluate theta[delta; eps](tau, z) for every characteristic in chars.
 
     The reduction of z, the summation radius and the tail majorant depend
@@ -190,11 +188,9 @@ def theta_table(
         tail = _series_tail(lam, c, radius, g)
         if tail * scale <= tol:
             break
-        if radius >= radius_cap:
-            raise RadiusCapError(
-                f"tolerance {tol} unreachable within radius cap {radius_cap}"
-            )
-        radius = min(radius_cap, radius + max(4, radius // 2))
+        if radius >= RADIUS_CAP:
+            raise RadiusCapError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
+        radius = min(RADIUS_CAP, radius + max(4, radius // 2))
     points = (2 * radius + 1) ** g
     if points > MAX_BOX_POINTS:
         raise RadiusCapError(
@@ -242,15 +238,9 @@ def theta_table(
     return out
 
 
-def theta(
-    tau: PeriodMatrix,
-    z,
-    char: Characteristic,
-    tol: float = DEFAULT_TOL,
-    radius_cap: int = RADIUS_CAP,
-) -> ThetaValue:
+def theta(tau: PeriodMatrix, z, char: Characteristic, tol: float = DEFAULT_TOL) -> ThetaValue:
     """Evaluate theta[delta; eps](tau, z) with a certified truncation bound."""
-    return theta_table(tau, z, [char], tol, radius_cap)[0]
+    return theta_table(tau, z, [char], tol)[0]
 
 
 def classify_magnitudes(mags):

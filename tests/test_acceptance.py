@@ -196,13 +196,13 @@ def test_09_h0_genus3_probe():
 
 def test_10_orbit_suite():
     ok = True
-    for g in (2, 3):
+    for g in (2, 3, 4):
         ok = ok and orbits(g, 1)["parity_classes_single_orbits"]
-    for g, sizes in ((2, [30, 90]), (3, [756, 1260])):
+    for g, sizes in ((2, [30, 90]), (3, [756, 1260]), (4, [14280, 18360])):
         rep2 = orbits(g, 2)
         ok = ok and rep2["orbit_sizes"] == sizes
         ok = ok and rep2["even_pairs_single_orbit"] and rep2["odd_pairs_single_orbit"]
-    report("parity classes single orbits (g=2,3), same-parity pairs (g=2,3)", ok)
+    report("parity classes single orbits (g=2-4), same-parity pairs (g=2-4)", ok)
 
 
 def test_11_determinism():

@@ -1,6 +1,7 @@
 import pytest
 
 from thetalab.bounds import (
+    MAX_DIGITS,
     any_theorem_violated,
     compare,
     decomposable_bound,
@@ -91,6 +92,22 @@ def test_decomposable_bound():
     assert decomposable_bound([1, 1, 1], 2) == 37
     # n >= 3: n^{2g} - n^g prod(b_i + 1)
     assert decomposable_bound([1, 1], 3) == 3**4 - 3**2 * 4 == 45
+
+
+@pytest.mark.parametrize("g,n", [(2150, 10), (7200, 2), (10**12, 3)])
+def test_digit_limit_refuses_before_any_power(g, n):
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} decimal digits"):
+        evaluate_bounds(g, n)
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} decimal digits"):
+        decomposable_bound([g], n)
+
+
+def test_digit_limit_admits_the_last_genus():
+    # 10^4298 has 4299 digits, 2^14200 has 4275: both print
+    for g, n in ((2149, 10), (7100, 2)):
+        values = [r.value for r in evaluate_bounds(g, n)]
+        assert max(len(str(v)) for v in values) <= MAX_DIGITS
+    assert len(str(decomposable_bound([2149], 10))) <= MAX_DIGITS
 
 
 def test_decomposable_bound_rejects_empty():

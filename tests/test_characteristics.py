@@ -1,13 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from thetalab.characteristics import (
     EVEN,
     ODD,
     Characteristic,
-    SymplecticMap,
     act,
     canonical_f2_order,
     count_parity,
@@ -53,7 +53,7 @@ def test_count_parity_closed_form(g, expected):
     assert count_parity(g) == expected
 
 
-@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("g", range(1, 9))
 def test_count_parity_matches_enumeration(g):
     even, odd = count_parity(g)
     tally = sum(1 for c in enumerate_characteristics(g, 2) if parity(c) == ODD)
@@ -133,14 +133,65 @@ def test_canonical_order_isotropic_first():
         assert [c.a + c.b for c in order[kp:]] == sorted(c.a + c.b for c in order[kp:])
 
 
-def test_symplectic_map_rejects_invalid():
-    with pytest.raises(ValueError):
-        SymplecticMap(1, ((1,),), ((1,),), ((1,),), ((1,),))
+def symplectic_form(g):
+    eye = np.eye(g, dtype=np.int64)
+    return np.block([[0 * eye, eye], [-eye, 0 * eye]])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_generators_are_integer_symplectic(g):
+    gens = symplectic_generators(g)
+    assert gens.dtype == np.int64
+    assert gens.shape == (2 * g * g + 1, 2 * g, 2 * g)
+    assert not gens.flags.writeable
+    j = symplectic_form(g)
+    for gamma in gens:
+        assert np.array_equal(gamma.T @ j @ gamma, j)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_generators_reduce_to_the_f2_generators(g):
+    """Mod 2 the table is, in order: (I S; 0 I), (I 0; S I) per symmetric
+    basis element S, the swap (0 I; I 0), then (U 0; 0 U^t), U = I + E_ij."""
+    eye = np.eye(g, dtype=np.int64)
+    zero = 0 * eye
+    pairs = [(i, i) for i in range(g)] + list(itertools.combinations(range(g), 2))
+    want = []
+    for i, j in pairs:
+        s = zero.copy()
+        s[i, j] = s[j, i] = 1
+        want += [np.block([[eye, s], [zero, eye]]), np.block([[eye, zero], [s, eye]])]
+    want.append(np.block([[zero, eye], [eye, zero]]))
+    for i, j in itertools.permutations(range(g), 2):
+        u = eye.copy()
+        u[i, j] = 1
+        want.append(np.block([[u, zero], [zero, u.T]]))
+    assert np.array_equal(symplectic_generators(g) % 2, np.stack(want))
+
+
+def test_act_rejects_invalid_matrix():
+    c = Characteristic(1, 2, (1,), (0,))
+    with pytest.raises(ValueError, match="symplectic form mod 2"):
+        act(np.ones((2, 2), dtype=np.int64), c)
+    # at g = 1, gamma^t J gamma = det(gamma) J, and det 2 vanishes mod 2
+    with pytest.raises(ValueError, match="symplectic form mod 2"):
+        act(np.array([[1, 0], [0, 2]]), c)
+    with pytest.raises(ValueError, match="2x2 integer matrix"):
+        act(np.eye(4, dtype=np.int64), c)
+    with pytest.raises(ValueError, match="2x2 integer matrix"):
+        act(0.5 * np.eye(2), c)
+
+
+def test_act_reads_integer_matrices_mod_2():
+    # (1 2; 0 1) is the identity mod 2; -I acts trivially
+    for gamma in (np.array([[1, 2], [0, 1]]), -np.eye(2, dtype=np.int64)):
+        for c in enumerate_characteristics(1, 2):
+            assert act(gamma, c) == c
 
 
 def test_identity_acts_trivially():
     for g in (1, 2, 3):
-        ident = SymplecticMap.identity(g)
+        ident = np.eye(2 * g)
         for c in enumerate_characteristics(g, 2):
             assert act(ident, c) == c
 
@@ -157,10 +208,13 @@ def test_group_action_law(g):
     rng = random.Random(11)
     gens = symplectic_generators(g)
     chars = enumerate_characteristics(g, 2)
+    j = symplectic_form(g)
     for _ in range(300):
         g1, g2 = rng.choice(gens), rng.choice(gens)
+        product = g1 @ g2
+        assert np.array_equal(product.T @ j @ product, j)
         c = rng.choice(chars)
-        assert act(g1 @ g2, c) == act(g1, act(g2, c))
+        assert act(product, c) == act(g1, act(g2, c))
 
 
 def test_orbits_g1():
@@ -181,7 +235,7 @@ def test_orbits_g2_pairs_double_transitive():
     assert report["odd_pairs_single_orbit"]
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_generator_permutations_match_act(g):
     perms = generator_permutations(g)
     gens = symplectic_generators(g)
@@ -211,6 +265,58 @@ def test_orbits_g3_pairs_double_transitive():
     assert all(o == sorted(o) for o in report["orbits"])
 
 
-def test_orbits_rejects_large_g():
+def closure_orbits(g, tuples):
+    """Reference: breadth-first closure of each point under act, as sorted key lists."""
+    gens = symplectic_generators(g)
+    chars = enumerate_characteristics(g, 2)
+    if tuples == 1:
+        points = [(c,) for c in chars]
+    else:
+        points = [(x, y) for x in chars for y in chars if x != y and parity(x) == parity(y)]
+    seen, found = set(), []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orb = [start]
+        for p in orb:
+            for gamma in gens:
+                q = tuple(act(gamma, c) for c in p)
+                if q not in seen:
+                    seen.add(q)
+                    orb.append(q)
+        found.append(sorted(",".join(c.key() for c in p) for p in orb))
+    return sorted(found, key=lambda o: (len(o), o[0]))
+
+
+@pytest.mark.parametrize("g,tuples", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_orbits_match_a_closure_loop(g, tuples):
+    assert orbits(g, tuples)["orbits"] == closure_orbits(g, tuples)
+
+
+def test_orbits_g4():
+    report = orbits(4, 1)
+    assert report["orbit_sizes"] == [120, 136]
+    assert report["parity_classes_single_orbits"]
+    report = orbits(4, 2)
+    assert report["orbit_sizes"] == [14280, 18360]
+    assert report["even_pairs_single_orbit"]
+    assert report["odd_pairs_single_orbit"]
+
+
+def test_orbits_g5_singles():
+    report = orbits(5, 1)
+    assert report["orbit_sizes"] == [496, 528]
+    assert report["parity_classes_single_orbits"]
+
+
+@pytest.mark.parametrize("g,tuples", [(0, 1), (-1, 2), (5, 2), (9, 1), (10**9, 1)])
+def test_orbits_size_cap(g, tuples):
     with pytest.raises(ValueError):
-        orbits(4, 1)
+        orbits(g, tuples)
+
+
+@pytest.mark.parametrize("g", [0, 9, 10**9])
+def test_generators_size_cap(g):
+    with pytest.raises(ValueError):
+        symplectic_generators(g)

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +205,45 @@ def test_orbits(capsys):
     assert code == 0
     blob = json.loads(out)
     assert sorted(blob["orbit_sizes"]) == [6, 10]
+
+
+def test_orbits_g4_pairs(capsys):
+    code, out, _ = run(capsys, "orbits", "--g", "4", "--tuples", "2")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["orbit_sizes"] == [14280, 18360]
+    assert blob["even_pairs_single_orbit"] and blob["odd_pairs_single_orbit"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--g", "0"], "g must be >= 1"),
+        (["--g", "5", "--tuples", "2"], "size cap: 4^(g*tuples) = 4^10 points exceed 65536"),
+    ],
+)
+def test_orbits_out_of_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "orbits", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bounds_below_the_digit_limit(capsys):
+    # 2^14200 has 4275 decimal digits
+    code, out, _ = run(capsys, "bounds", "--g", "7100", "--n", "2")
+    assert code == 0
+    assert len(str(json.loads(out)["rows"][-1]["value"])) == 4275
+
+
+@pytest.mark.parametrize("g", ["7200", "3000000"])
+def test_bounds_past_the_digit_limit_exits_2(capsys, g):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--g", g, "--n", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == "error: digit limit: n^(2g) would have more than 4300 decimal digits\n"
 
 
 def test_export_matrix(capsys):

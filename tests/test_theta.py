@@ -1,13 +1,19 @@
 import importlib
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.characteristics import Characteristic, enumerate_characteristics
+from thetalab.characteristics import (
+    Characteristic,
+    act,
+    enumerate_characteristics,
+    symplectic_generators,
+)
 from thetalab.errors import AmbiguousVanishingError, RadiusCapError
 from thetalab.theta import (
     MAX_BOX_POINTS,
@@ -177,6 +183,40 @@ def test_theta_table_property_matches_naive_sum(case):
     for c, got in zip(chars, theta_table(tau, z, chars)):
         want = naive_theta(c, tau.mat, z, 9)
         assert abs(got.value - want) < 1e-12
+
+
+def symplectic_form(g):
+    eye = np.eye(g, dtype=np.int64)
+    return np.block([[0 * eye, eye], [-eye, 0 * eye]])
+
+
+@st.composite
+def symplectic_case(draw):
+    g = draw(st.integers(1, 3))
+    gens = symplectic_generators(g)
+    word = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=3))
+    return reduce(np.matmul, [gens[i] for i in word]), random_tau(g, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(symplectic_case())
+def test_theta_constants_obey_symplectic_invariance(case):
+    """|theta[gamma.m](gamma tau, 0)| = |det(C tau + D)|^(1/2) |theta[m](tau, 0)|
+    for gamma = (A B; C D) in Sp(2g, Z): an oracle that sums a different series.
+    Both tables are summed to 1e-15, so truncation stays below the 1e-12 bound."""
+    gamma, tau = case
+    g = tau.g
+    j = symplectic_form(g)
+    assert np.array_equal(gamma.T @ j @ gamma, j)
+    a, b, c, d = gamma[:g, :g], gamma[:g, g:], gamma[g:, :g], gamma[g:, g:]
+    denom = c @ tau.mat + d
+    moved = PeriodMatrix((a @ tau.mat + b) @ np.linalg.inv(denom))
+    chars = enumerate_characteristics(g, 2)
+    before = np.abs([v.value for v in theta_table(tau, np.zeros(g), chars, 1e-15)])
+    images = theta_table(moved, np.zeros(g), [act(gamma, m) for m in chars], 1e-15)
+    after = np.abs([v.value for v in images])
+    want = np.sqrt(abs(np.linalg.det(denom))) * before
+    assert np.max(np.abs(after - want)) <= 1e-12 * np.max(want)
 
 
 def test_theta_table_level_three_g3_offlattice_z_matches_naive_sum():
