@@ -48,7 +48,7 @@ from .search import (
 from .theta import (
     ConstantTable,
     PeriodMatrix,
-    ThetaValue,
+    ThetaValues,
     TorsionCount,
     addition_residual,
     constant_table,
@@ -57,6 +57,5 @@ from .theta import (
     m_count,
     qh_rank_profile,
     random_tau,
-    theta,
     theta_table,
 )

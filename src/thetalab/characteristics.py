@@ -50,6 +50,20 @@ class Characteristic:
         return "".join(map(str, self.a)) + "|" + "".join(map(str, self.b))
 
 
+def table_size(g: int, n: int) -> int:
+    """n^{2g}, the number of level-n characteristics; ValueError for g < 1,
+    n < 2 or more than MAX_CHARACTERISTICS, before any is built."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    if n < 2:
+        raise ValueError("level n must be >= 2")
+    if n ** (2 * g) > MAX_CHARACTERISTICS:
+        raise ValueError(
+            f"n^(2g) = {n ** (2 * g)} characteristics exceed the cap of {MAX_CHARACTERISTICS}"
+        )
+    return n ** (2 * g)
+
+
 @cache
 def enumerate_characteristics(g: int, n: int) -> tuple:
     """All n^{2g} characteristics, lexicographic on a||b (a most significant).
@@ -57,13 +71,18 @@ def enumerate_characteristics(g: int, n: int) -> tuple:
     Built once per (g, n); the characteristics are frozen, so callers share
     them.  More than MAX_CHARACTERISTICS raises ValueError before any is built.
     """
-    if g < 1 or n < 2:
-        raise ValueError("need g >= 1 and n >= 2")
-    if n ** (2 * g) > MAX_CHARACTERISTICS:
-        raise ValueError(
-            f"n^(2g) = {n ** (2 * g)} characteristics exceed the cap of {MAX_CHARACTERISTICS}"
-        )
+    table_size(g, n)
     return tuple(Characteristic(g, n, ab[:g], ab[g:]) for ab in product(range(n), repeat=2 * g))
+
+
+def odd_mask(g: int) -> np.ndarray:
+    """Parities of the level-2 characteristics in enumerate_characteristics
+    order, True where sum a_i b_i is odd: read from the binary digits a||b
+    of each index, so no characteristic is built."""
+    _check_points(g)
+    index = np.arange(4**g)
+    both = (index >> g) & index  # the bits of a and b, one coordinate each
+    return (both[:, None] >> np.arange(g) & 1).sum(axis=1) % 2 == 1
 
 
 def parity(c: Characteristic) -> str:
@@ -92,13 +111,15 @@ def symplectic_pairing(m: Characteristic, n: Characteristic) -> int:
 
 def isotropic_vectors(g: int):
     """The even half-integer characteristics, lexicographic on a||b."""
-    return [c for c in enumerate_characteristics(g, 2) if parity(c) == EVEN]
+    chars = enumerate_characteristics(g, 2)
+    return [chars[i] for i in np.flatnonzero(~odd_mask(g))]
 
 
 def canonical_f2_order(g: int):
     """Index order used by all matrices: the even characteristics, then the
     odd ones, each block lexicographic on a||b."""
-    return isotropic_vectors(g) + [c for c in enumerate_characteristics(g, 2) if parity(c) == ODD]
+    chars = enumerate_characteristics(g, 2)
+    return [chars[i] for i in np.argsort(odd_mask(g), kind="stable")]
 
 
 def _check_points(g: int, tuples: int = 1):
@@ -217,9 +238,9 @@ def orbits(g: int, tuples: int = 1):
         raise ValueError("tuples must be 1 or 2")
     _check_points(g, tuples)
     perms = generator_permutations(g)
-    chars = enumerate_characteristics(g, 2)
-    keys = [c.key() for c in chars]
-    size = len(chars)
+    size = 4**g
+    # the key 'a|b' of index i: its binary digits, a most significant
+    keys = [f"{ab[:g]}|{ab[g:]}" for ab in (format(i, f"0{2 * g}b") for i in range(size))]
 
     if tuples == 1:
         points = np.arange(size)
@@ -227,7 +248,7 @@ def orbits(g: int, tuples: int = 1):
     else:
         # the pair (x, y) is the point x * 4^g + y and moves to (p[x], p[y])
         x, y = np.divmod(np.arange(size * size), size)
-        par = np.array([parity(c) for c in chars])
+        par = odd_mask(g)
         points = np.flatnonzero((x != y) & (par[x] == par[y]))
         moves = perms[:, x] * size + perms[:, y]
         keys = [kx + "," + ky for kx in keys for ky in keys]

@@ -68,6 +68,13 @@ def _load_tau(path) -> PeriodMatrix:
         raise SystemExit(f"cannot read period matrix from {path}: {exc}") from exc
 
 
+def _tolerance(text) -> float:
+    """A --tol value: a positive number (NaN and non-positive are refused)."""
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    return float(text)
+
+
 def cmd_count(args) -> int:
     tau = _load_tau(args.tau)
     table = constant_table(tau, args.n, tol=args.tol)
@@ -149,6 +156,8 @@ def cmd_verify(args) -> int:
 
 def cmd_h0(args) -> int:
     if args.g == 2:
+        if args.budget is not None or args.seed is not None:
+            raise SystemExit("g = 2 is an exhaustive scan: it takes no --budget or --seed")
         report = h0_exhaustive(2)
     elif args.g == 3:
         if args.budget is None or args.seed is None:
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count vanishing level-n theta constants")
     p.add_argument("--tau", required=True, help="period matrix JSON file")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--table", action="store_true", help="include the per-characteristic table")
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.set_defaults(func=cmd_count)
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default=None)
     p.add_argument("--blocks", default=None, help="comma-separated block dimensions")
     p.add_argument("--assume-simple", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.set_defaults(func=cmd_bounds)
 

@@ -20,7 +20,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .characteristics import canonical_f2_order, isotropic_vectors, symplectic_pairing
+from .characteristics import canonical_f2_order, isotropic_vectors
 from .errors import VerificationError
 
 SIZE_CAP = 256
@@ -109,17 +109,17 @@ def spectrum(mat, eigenvalues) -> dict:
 
 @cache
 def build_M(g: int) -> np.ndarray:
-    """Sign matrix (-1)^{<m,n>} over F_2^{2g}, even characteristics first."""
+    """Sign matrix (-1)^{<m,n>} over F_2^{2g}, even characteristics first.
+
+    With the bit rows a||b of the canonical order split as (A, B), the
+    pairing matrix <m, n> is A B^t + B A^t mod 2."""
     if g < 1:
         raise ValueError("g must be >= 1")
     if 4**g > SIZE_CAP:
         raise ValueError(f"size cap: 4^g must be <= {SIZE_CAP}")
-    order = canonical_f2_order(g)
-    m = np.array(
-        [[1 - 2 * symplectic_pairing(x, y) for y in order] for x in order],
-        dtype=np.int64,
-    )
-    return _frozen(m)
+    bits = np.array([c.a + c.b for c in canonical_f2_order(g)], dtype=np.int64)
+    a, b = bits[:, :g], bits[:, g:]
+    return _frozen(1 - 2 * ((a @ b.T + b @ a.T) % 2))
 
 
 def split_blocks(m: np.ndarray):

@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .characteristics import EVEN, enumerate_characteristics, generator_permutations, parity
+from .characteristics import generator_permutations, odd_mask
 from .errors import VerificationError
 from .matrices import build_B, build_Bk, exact_rank
 
@@ -151,7 +151,7 @@ def _perm_action_on_kplus(g: int) -> tuple:
     """Permutations of the K_g^+ index set induced by the symplectic generators:
     generator_permutations(g) restricted to the even characteristics, which
     the action preserves.  Tuples of ints, for element-wise indexing."""
-    even = np.flatnonzero([parity(c) == EVEN for c in enumerate_characteristics(g, 2)])
+    even = np.flatnonzero(~odd_mask(g))
     # even is sorted, so an even index's position in it is its K_g^+ index
     return tuple(map(tuple, np.searchsorted(even, generator_permutations(g)[:, even]).tolist()))
 

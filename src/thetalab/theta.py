@@ -14,27 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .characteristics import (
-    Characteristic,
-    enumerate_characteristics,
-    isotropic_vectors,
-    parity,
-)
-from .errors import (
-    AmbiguousVanishingError,
-    RadiusCapError,
-    ThetaLabError,
-)
+from .characteristics import Characteristic, enumerate_characteristics, odd_mask, table_size
+from .errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from .matrices import build_M, split_blocks
 
 DEFAULT_TOL = 1e-12
 RADIUS_CAP = 60
-# largest summation box (2r+1)^g: a box costs about 100 bytes a point, and
-# the boxes of g <= 3 in normal use hold a few thousand points
+# the work cap on one characteristic's box (2r+1)^g, and the most points of
+# the shared box theta_table holds at once: a point costs about 100 bytes,
+# and every table of g <= 3 in normal use fits in one chunk
 MAX_BOX_POINTS = 1_000_000
 VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
@@ -107,10 +98,10 @@ def random_tau(g: int, rng) -> PeriodMatrix:
 
 
 @dataclass
-class ThetaValue:
-    """Theta value with a rigorous truncation-error bound."""
+class ThetaValues:
+    """A level-n table of theta values; the one truncation bound holds for every entry."""
 
-    value: complex
+    values: np.ndarray
     tail_bound: float
     radius_used: int
 
@@ -146,27 +137,29 @@ def _series_tail(lam: float, c: float, radius: int, g: int) -> float:
             return math.inf
 
 
-def theta_table(tau: PeriodMatrix, z, chars, tol: float = DEFAULT_TOL) -> list:
-    """Evaluate theta[delta; eps](tau, z) for every characteristic in chars.
+def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> ThetaValues:
+    """Evaluate theta[a/n; b/n](tau, z) for the whole level-n table, in the
+    order of enumerate_characteristics(g, n).
 
-    The reduction of z, the summation radius and the tail majorant depend
-    only on (tau, z): delta, eps and the integer shifts are real, so they
-    leave |factor| unchanged.  Characteristics sharing (n, a) share one
-    lattice box, and each lattice point costs one exponential through the
-    residue identity
+    The reduction of z, the summation radius r and the tail majorant depend
+    only on (tau, z): characteristics and integer shifts are real, so they
+    leave |factor| unchanged.  The characteristic (a, b) sums over the
+    points |m - rint(-a/n)| <= r, and on each axis the union over a of
+    v = n m + a is one run of n(2r+1) integers.  So one box holds the points
+    of every characteristic, and each point costs one exponential through
 
         theta[a/n; b/n](tau, z) = e(a.b/n^2) sum_r S_a(r) e(r.b/n),
 
     where e(x) = exp(2 pi i x) and S_a(r) sums the weight
-    exp(pi i u^t tau u + 2 pi i u.z) over lattice points m = r (mod n), with
-    u = m + a/n.  Each eps then costs an n^g-term phase sum over the bins.
-    Returns one ThetaValue per characteristic, in the order given.
+    exp(pi i u^t tau u + 2 pi i u.z), u = v/n = m + a/n, over the points
+    with v = a and m = r (mod n): one bincount on (a, r).  The sum over r is
+    n^g times an inverse DFT of each a-row.  The box is swept in chunks of
+    at most MAX_BOX_POINTS points.
     """
-    if any(ch.g != tau.g for ch in chars):
-        raise ValueError("characteristic and period matrix dimensions differ")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = tau.g
+    size = table_size(g, n)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     z = np.asarray(z, dtype=complex).reshape(g)
 
     # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
@@ -197,50 +190,48 @@ def theta_table(tau: PeriodMatrix, z, chars, tol: float = DEFAULT_TOL) -> list:
             f"summation box of {points} lattice points at radius {radius} "
             f"exceeds the cap of {MAX_BOX_POINTS}"
         )
-    tail_bound = float(tail * scale)
 
-    groups = {}
-    for i, ch in enumerate(chars):
-        groups.setdefault((ch.n, ch.a), []).append(i)
-    offsets = np.arange(-radius, radius + 1)
-    out = [None] * len(chars)
-    for (n, a_int), members in groups.items():
-        a_vec = np.array(a_int, dtype=np.int64)
-        delta = a_vec / n
-        center = np.rint(-delta).astype(np.int64)
-        # open grid: m_i runs over one axis of the box, u_i = m_i + delta_i
-        m = np.ix_(*[offsets + ci for ci in center])
-        u = [mi + di for mi, di in zip(m, delta)]
+    # one axis of the box: rint(-a/n) is 0 for a <= n/2 and -1 above
+    side = n * (2 * radius + 1)
+    v = np.arange(side) - (n - 1) // 2 - n * radius
+    u = v / n
+    # bin (a, r) = (v mod n, m mod n), base n: a before r, the first coordinate first
+    digit = (v % n) * n**g + (v // n) % n
+    # the leading axes are swept as one flat axis, the others stay an open grid
+    lead = next(k for k in range(g + 1) if side ** (g - k) <= MAX_BOX_POINTS)
+    grid = g - lead
+    step = MAX_BOX_POINTS // side**grid
+    trailing = [ix[None] for ix in np.ix_(*[np.arange(side)] * grid)]
+    mat = tau.mat
+    sums = np.zeros(size, dtype=complex)
+    for start in range(0, side**lead, step):
+        flat = np.arange(start, min(start + step, side**lead))
+        leading = []
+        for _ in range(lead):
+            flat, index = np.divmod(flat, side)
+            leading.insert(0, index.reshape((-1,) + (1,) * grid))
+        axes = leading + trailing
+        x = [u[ix] for ix in axes]
         # u^t tau u + 2 u.z, nested axis by axis so every product broadcasts
         expo = sum(
-            u[i]
-            * (
-                tau.mat[i, i] * u[i]
-                + 2 * z_red[i]
-                + 2 * sum(tau.mat[i, j] * u[j] for j in range(i + 1, g))
-            )
+            x[i] * (mat[i, i] * x[i] + 2 * (z_red[i] + sum(mat[i, j] * x[j] for j in range(i + 1, g))))
             for i in range(g)
         )
-        weight = np.exp(1j * math.pi * expo).ravel()
-        # bin r = m mod n, flattened base n with the first coordinate most significant
-        bins = sum((mi % n) * n ** (g - 1 - i) for i, mi in enumerate(m)).ravel()
-        sums = np.bincount(bins, weight.real, n**g) + 1j * np.bincount(bins, weight.imag, n**g)
-        residues = np.indices((n,) * g).reshape(g, -1).T
-        # every phase is e(k / n^2): k = n r.b + a.b + n (a.s_one - s_tau.b)
-        b_mat = np.array([chars[i].b for i in members], dtype=np.int64)
-        k = n * (b_mat @ residues.T) + (
-            b_mat @ a_vec + n * (a_vec @ s_one - b_mat @ s_tau)
-        )[:, None]
-        roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
-        values = base * (roots[k % (n * n)] * sums).sum(axis=1)
-        for i, v in zip(members, values):
-            out[i] = ThetaValue(complex(v), tail_bound, radius)
-    return out
+        expo *= 1j * math.pi
+        weight = np.exp(expo, out=expo).ravel()
+        bins = sum(digit[ix] * n ** (g - 1 - i) for i, ix in enumerate(axes)).ravel()
+        sums += np.bincount(bins, weight.real, size) + 1j * np.bincount(bins, weight.imag, size)
 
-
-def theta(tau: PeriodMatrix, z, char: Characteristic, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Evaluate theta[delta; eps](tau, z) with a certified truncation bound."""
-    return theta_table(tau, z, [char], tol)[0]
+    rows = n**g
+    # sum_r S_a(r) e(r.b/n) for every b: n^g times the inverse DFT over the r axes
+    phased = rows * np.fft.ifftn(sums.reshape((rows,) + (n,) * g), axes=range(1, g + 1))
+    # a and b of each row and column; every twiddle is e(k / n^2) with
+    # k = a.b + n (a.s_one - s_tau.b)
+    vecs = np.indices((n,) * g).reshape(g, -1).T
+    k = vecs @ vecs.T + n * ((vecs @ s_one)[:, None] - (vecs @ s_tau)[None, :])
+    roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
+    values = base * (roots[k % (n * n)] * phased.reshape(rows, rows)).ravel()
+    return ThetaValues(values, float(tail * scale), radius)
 
 
 def classify_magnitudes(mags):
@@ -278,7 +269,7 @@ class ConstantTable:
     n: int
     chars: list
     values: np.ndarray
-    tail_bounds: np.ndarray
+    tail_bound: float
     magnitudes: np.ndarray = field(init=False)
     max_magnitude: float = field(init=False)
     certified: bool = field(init=False)
@@ -336,17 +327,8 @@ class ConstantTable:
 
 def constant_table(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> ConstantTable:
     """Table of all n^{2g} theta constants theta[delta; eps](tau, 0)."""
-    if n < 2:
-        raise ValueError("level n must be >= 2")
-    chars = enumerate_characteristics(tau.g, n)
-    vals = theta_table(tau, np.zeros(tau.g), chars, tol)
-    return ConstantTable(
-        tau,
-        n,
-        chars,
-        np.array([v.value for v in vals]),
-        np.array([v.tail_bound for v in vals]),
-    )
+    table = theta_table(tau, np.zeros(tau.g), n, tol)
+    return ConstantTable(tau, n, enumerate_characteristics(tau.g, n), table.values, table.tail_bound)
 
 
 @dataclass
@@ -399,9 +381,7 @@ def count_torsion(
 def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
     y = np.asarray(y, dtype=complex).reshape(tau.g)
-    chars = enumerate_characteristics(tau.g, 2)
-    vals = theta_table(tau, 2 * y, chars, tol)
-    flags = classify_magnitudes([abs(v.value) for v in vals])
+    flags = classify_magnitudes(np.abs(theta_table(tau, 2 * y, 2, tol).values))
     return int((~flags).sum())
 
 
@@ -416,27 +396,23 @@ def addition_residual(
     largest residual over all 4^g half-integer characteristics; each of the
     three tables is evaluated once for all of them.
     """
-    if char is not None and char.n != 2:
-        raise ValueError("the addition formula applies to half-integer characteristics")
     g = tau.g
+    if char is not None and (char.n != 2 or char.g != g):
+        raise ValueError("the addition formula applies to half-integer characteristics of genus g")
     z = np.asarray(z, dtype=complex).reshape(g)
-    chars = enumerate_characteristics(g, 2) if char is None else [char]
-    at0 = theta_table(tau, np.zeros(g), chars, tol)
-    at2z = theta_table(tau, 2 * z, chars, tol)
-
-    sigmas = list(product((0, 1), repeat=g))
-    s_chars = [Characteristic(g, 2, s, (0,) * g) for s in sigmas]
-    at2tau = {
-        s: v.value for s, v in zip(sigmas, theta_table(tau.scaled(2), 2 * z, s_chars, tol))
-    }
+    at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
+    at2z = theta_table(tau, 2 * z, 2, tol).values.tolist()
+    # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
+    at2tau = theta_table(tau.scaled(2), 2 * z, 2, tol).values[:: 2**g].tolist()
+    picked = range(4**g) if char is None else [int("".join(map(str, char.a + char.b)), 2)]
     worst = 0.0
-    for ch, t0, t2 in zip(chars, at0, at2z):
-        lhs = t0.value * t2.value
+    for i in picked:
+        a, b = i >> g, i & (2**g - 1)
+        lhs = at0[i] * at2z[i]
         rhs = 0j
-        for s in sigmas:
-            sign = (-1) ** (sum(x * y for x, y in zip(ch.b, s)) % 2)
-            ds = tuple((x + y) % 2 for x, y in zip(ch.a, s))
-            rhs += sign * at2tau[s] * at2tau[ds]
+        for s in range(2**g):
+            sign = (-1) ** bin(b & s).count("1")
+            rhs += sign * at2tau[s] * at2tau[a ^ s]
         worst = max(worst, abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs))))
     return worst
 
@@ -453,9 +429,9 @@ def fay_relation_residual(
     if column is not None and not (0 <= column < n.shape[1]):
         raise ValueError(f"column must be in [0, {n.shape[1]})")
     # the rows of N follow the canonical order of the even characteristics
-    chars = isotropic_vectors(g)
-    at0 = [v.value for v in theta_table(tau, np.zeros(g), chars, tol)]
-    at2z = [v.value for v in theta_table(tau, 2 * z, chars, tol)]
+    even = ~odd_mask(g)
+    at0 = theta_table(tau, np.zeros(g), 2, tol).values[even].tolist()
+    at2z = theta_table(tau, 2 * z, 2, tol).values[even].tolist()
     quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
     columns = n.T.tolist()
     worst = 0.0
@@ -491,8 +467,6 @@ def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHPr
     for every mu, plus the identity defect n^{2g} - sum_mu rank - Theta(n),
     which is zero by construction: both sides read the table's one vanishing
     decision."""
-    if n < 2:
-        raise ValueError("level n must be >= 2")
     g = tau.g
     table = constant_table(tau, n, tol)
     # T_mu = diag(theta[.; mu]) F with F the invertible character table of

@@ -6,6 +6,7 @@ import pytest
 
 from thetalab.characteristics import (
     EVEN,
+    MAX_CHARACTERISTICS,
     ODD,
     Characteristic,
     act,
@@ -13,10 +14,12 @@ from thetalab.characteristics import (
     count_parity,
     enumerate_characteristics,
     generator_permutations,
+    odd_mask,
     orbits,
     parity,
     symplectic_generators,
     symplectic_pairing,
+    table_size,
 )
 
 
@@ -58,6 +61,32 @@ def test_count_parity_matches_enumeration(g):
     even, odd = count_parity(g)
     tally = sum(1 for c in enumerate_characteristics(g, 2) if parity(c) == ODD)
     assert (even + odd, odd) == (4**g, tally)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_odd_mask_matches_parity(g):
+    # read from the bits of the index, against the characteristics themselves
+    want = [parity(c) == ODD for c in enumerate_characteristics(g, 2)]
+    assert odd_mask(g).tolist() == want
+
+
+def test_odd_mask_counts_at_g8():
+    assert int(odd_mask(8).sum()) == count_parity(8)[1]
+
+
+@pytest.mark.parametrize(
+    "g,n,match",
+    [(0, 2, "g must be >= 1"), (2, 1, "level n must be >= 2"), (2, 17, "exceed the cap"), (9, 2, "exceed the cap")],
+)
+def test_table_size_refusals(g, n, match):
+    with pytest.raises(ValueError, match=match):
+        table_size(g, n)
+    with pytest.raises(ValueError, match=match):
+        enumerate_characteristics(g, n)
+
+
+def test_table_size_at_the_cap():
+    assert table_size(2, 16) == table_size(8, 2) == MAX_CHARACTERISTICS
 
 
 def test_enumeration_is_shared():

@@ -82,7 +82,6 @@ def test_verify_g2(capsys):
 
 
 def test_verify_g3_evaluates_each_table_once(capsys, monkeypatch):
-    # the module is shadowed on the package by the function thetalab.theta
     theta_module = importlib.import_module("thetalab.theta")
     calls = []
     table = theta_module.theta_table
@@ -126,12 +125,32 @@ def test_count_characteristic_cap_exits_2(capsys, tmp_path):
     assert err.startswith("error: n^(2g) = 4096000000 characteristics exceed the cap")
 
 
+@pytest.mark.parametrize("tol", ["nan", "NaN", "0", "-1"])
+@pytest.mark.parametrize("command", [["count"], ["bounds", "--g", "2", "--n", "2"]])
+def test_non_positive_tol_exits_2_up_front(capsys, tau_file, command, tol):
+    # refused while parsing: no radius is tried, so no radius-cap message
+    code, out, err = run(capsys, *command, "--tau", tau_file, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert f"tolerance must be positive, got {tol}" in err
+    assert "radius cap" not in err
+
+
 def test_h0_g2_exhaustive(capsys):
     code, out, _ = run(capsys, "h0", "--g", "2")
     assert code == 0
     blob = json.loads(out)
     assert blob["h0"] == 9
     assert blob["exhaustive"]
+
+
+@pytest.mark.parametrize("extra", [["--budget", "100"], ["--seed", "3"], ["--budget", "100", "--seed", "3"]])
+def test_h0_g2_refuses_budget_and_seed(capsys, extra):
+    # the genus-2 scan is exhaustive: a budget or seed would be silently ignored
+    code, out, err = run(capsys, "h0", "--g", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "g = 2 is an exhaustive scan: it takes no --budget or --seed\n"
 
 
 def test_h0_g3_requires_budget_and_seed(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.characteristics import canonical_f2_order
+from thetalab.characteristics import canonical_f2_order, symplectic_pairing
 from thetalab.errors import VerificationError
 from thetalab.matrices import (
     TRIPLE,
@@ -148,6 +148,14 @@ def test_M_is_symmetric_sign_matrix(g):
     assert m.dtype == np.int64
     assert np.isin(m, (-1, 1)).all()
     assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_M_matches_symplectic_pairing_entrywise(g):
+    # the pairing of two characteristics is the oracle for the one-expression build
+    order = canonical_f2_order(g)
+    want = [[1 - 2 * symplectic_pairing(x, y) for y in order] for x in order]
+    assert build_M(g).tolist() == want
 
 
 def test_M_g1_explicit():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalab.characteristics import (
+    MAX_CHARACTERISTICS,
     Characteristic,
     act,
     enumerate_characteristics,
@@ -27,21 +28,24 @@ from thetalab.theta import (
     m_count,
     qh_rank_profile,
     random_tau,
-    theta,
     theta_table,
 )
 
 
 def naive_theta(char, tau, z, radius):
-    """Independent oracle: direct lattice sum, no reduction, no vectorization."""
+    """Independent oracle: the direct sum over the box |m_i| <= radius, with
+    no reduction of z, no binning and no transform."""
     g = char.g
     delta = np.array(char.a, dtype=float) / char.n
     eps = np.array(char.b, dtype=float) / char.n
-    total = 0.0 + 0.0j
-    for m in np.ndindex(*(2 * radius + 1,) * g):
-        p = np.array(m, dtype=float) - radius + delta
-        total += np.exp(1j * math.pi * p @ tau @ p + 2j * math.pi * p @ (z + eps))
-    return total
+    p = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius + delta
+    quad = np.einsum("ki,ij,kj->k", p, tau, p)
+    return np.exp(1j * math.pi * quad + 2j * math.pi * p @ (z + eps)).sum()
+
+
+def entry(char):
+    """Index of a characteristic in its level's table."""
+    return enumerate_characteristics(char.g, char.n).index(char)
 
 
 def test_period_matrix_rejects_asymmetric():
@@ -68,28 +72,26 @@ def test_period_matrix_from_json_rejects_bad_shape():
 
 def test_theta_matches_naive_sum_g1():
     tau = PeriodMatrix(np.array([[1j]]))
-    for a in (0, 1):
-        for b in (0, 1):
-            c = Characteristic(1, 2, (a,), (b,))
-            got = theta(tau, np.zeros(1), c)
-            want = naive_theta(c, tau.mat, np.zeros(1), 12)
-            assert abs(got.value - want) < 1e-12
+    table = theta_table(tau, np.zeros(1), 2)
+    for c, got in zip(enumerate_characteristics(1, 2), table.values):
+        want = naive_theta(c, tau.mat, np.zeros(1), 12)
+        assert abs(got - want) < 1e-12
 
 
 def test_theta_frozen_value():
     # theta[0;0](i, 0), the classical theta constant at the square lattice
-    got = theta(PeriodMatrix(np.array([[1j]])), np.zeros(1), Characteristic(1, 2, (0,), (0,)))
-    assert abs(got.value - 1.0864348112133082) < 1e-13
+    got = theta_table(PeriodMatrix(np.array([[1j]])), np.zeros(1), 2)
+    assert abs(got.values[0] - 1.0864348112133082) < 1e-13
     assert got.tail_bound < 1e-12
 
 
 def test_theta_matches_naive_sum_g2_offlattice_z():
     tau = random_tau(2, 9)
     z = np.array([0.21, -0.13]) + 1j * np.array([0.05, 0.02])
-    for c in enumerate_characteristics(2, 2)[:6]:
-        got = theta(tau, z, c)
+    table = theta_table(tau, z, 2)
+    for c, got in zip(enumerate_characteristics(2, 2)[:6], table.values):
         want = naive_theta(c, tau.mat, z, 10)
-        assert abs(got.value - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_theta_quasi_periodic_reduction_large_z():
@@ -97,17 +99,29 @@ def test_theta_quasi_periodic_reduction_large_z():
     tau = random_tau(2, 1)
     c = Characteristic(2, 2, (0, 1), (1, 0))
     z = tau.mat @ np.array([3.0, -2.0]) + np.array([4.0, 5.0]) + np.array([0.3, 0.1])
-    got = theta(tau, z, c)
+    got = theta_table(tau, z, 2).values[entry(c)]
     want = naive_theta(c, tau.mat, z, 14)
-    assert abs(got.value - want) < 1e-9 * max(1.0, abs(want))
+    assert abs(got - want) < 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_theta_table_quasi_periodic_reduction_every_level(n):
+    # at level 2 the twiddle e(b.s_tau / n) is a sign whichever way it turns;
+    # above it the direction of both shifts shows
+    tau = random_tau(2, 5)
+    z = tau.mat @ np.array([2.0, -1.0]) + np.array([1.0, -3.0]) + np.array([0.2, -0.1])
+    table = theta_table(tau, z, n)
+    for c, got in zip(enumerate_characteristics(2, n), table.values):
+        want = naive_theta(c, tau.mat, z, 14)
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_theta_level_three_characteristic():
     tau = PeriodMatrix(np.array([[0.1 + 1.2j]]))
     c = Characteristic(1, 3, (1,), (2,))
-    got = theta(tau, np.zeros(1), c)
+    got = theta_table(tau, np.zeros(1), 3).values[entry(c)]
     want = naive_theta(c, tau.mat, np.zeros(1), 12)
-    assert abs(got.value - want) < 1e-11
+    assert abs(got - want) < 1e-11
 
 
 def test_constant_table_level_three_matches_naive_sum():
@@ -117,7 +131,6 @@ def test_constant_table_level_three_matches_naive_sum():
     for c, got in zip(table.chars, table.values):
         want = naive_theta(c, tau.mat, np.zeros(2), 10)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-        assert got == theta(tau, np.zeros(2), c).value
 
 
 def test_theta_table_level_two_offlattice_z_matches_naive_sum():
@@ -126,33 +139,32 @@ def test_theta_table_level_two_offlattice_z_matches_naive_sum():
     # the reduction must carry a nonzero quasi-periodic shift
     assert np.any(np.floor(np.linalg.solve(tau.im, z.imag) + 0.5) != 0)
     chars = enumerate_characteristics(2, 2)
-    for c, got in zip(chars, theta_table(tau, z, chars)):
+    for c, got in zip(chars, theta_table(tau, z, 2).values):
         want = naive_theta(c, tau.mat, z, 14)
-        assert abs(got.value - want) < 1e-9 * max(1.0, abs(want))
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
-def test_theta_table_rejects_wrong_genus():
-    chars = [Characteristic(2, 2, (0, 0), (0, 0)), Characteristic(1, 2, (0,), (1,))]
-    with pytest.raises(ValueError, match="dimensions differ"):
-        theta_table(random_tau(2, 3), np.zeros(2), chars)
+@pytest.mark.parametrize(
+    "g,n,match",
+    [(2, 1, "level n must be >= 2"), (2, 0, "level n must be >= 2"), (2, 17, "exceed the cap"), (4, 5, "exceed the cap")],
+)
+def test_theta_table_refuses_bad_levels_before_allocating(monkeypatch, g, n, match):
+    theta_module = importlib.import_module("thetalab.theta")
+
+    def no_summation(*args):
+        raise AssertionError("the radius search ran")
+
+    # the refusal comes before the radius search, so before any box exists
+    monkeypatch.setattr(theta_module, "_series_tail", no_summation)
+    assert n < 2 or n ** (2 * g) > MAX_CHARACTERISTICS
+    with pytest.raises(ValueError, match=match):
+        theta_table(random_tau(g, 3), np.zeros(g), n)
 
 
-def test_theta_table_mixed_levels_match_naive_sum():
-    # a=(1,), n=2 and a=(2,), n=4 share delta = 1/2 but bin lattice points mod 2 and mod 4
-    tau = PeriodMatrix(np.array([[0.3 + 0.9j]]))
-    z = np.array([0.17 - 0.06j])
-    chars = [
-        Characteristic(1, 2, (1,), (1,)),
-        Characteristic(1, 4, (2,), (1,)),
-        Characteristic(1, 4, (2,), (3,)),
-        Characteristic(1, 3, (2,), (1,)),
-        Characteristic(1, 2, (1,), (0,)),
-        Characteristic(1, 5, (4,), (2,)),
-        Characteristic(1, 4, (3,), (2,)),
-    ]
-    for c, got in zip(chars, theta_table(tau, z, chars)):
-        want = naive_theta(c, tau.mat, z, 14)
-        assert abs(got.value - want) < 1e-12 * max(1.0, abs(want))
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+def test_theta_table_refuses_non_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        theta_table(random_tau(2, 3), np.zeros(2), 2, tol)
 
 
 @st.composite
@@ -168,21 +180,19 @@ def small_theta_case(draw):
     z = np.array([draw(unit) for _ in range(g)]) + 1j * np.array(
         [draw(st.floats(-0.1, 0.1)) for _ in range(g)]
     )
-    residue = st.tuples(*[st.integers(0, n - 1)] * g)
-    chars = [
-        Characteristic(g, n, draw(residue), draw(residue))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    return tau, z, chars
+    return tau, z, n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(small_theta_case())
 def test_theta_table_property_matches_naive_sum(case):
-    tau, z, chars = case
-    for c, got in zip(chars, theta_table(tau, z, chars)):
+    # the whole level-n table: every residue a shares the one box, binned mod n
+    tau, z, n = case
+    table = theta_table(tau, z, n)
+    assert len(table.values) == n ** (2 * tau.g)
+    for c, got in zip(enumerate_characteristics(tau.g, n), table.values):
         want = naive_theta(c, tau.mat, z, 9)
-        assert abs(got.value - want) < 1e-12
+        assert abs(got - want) < 1e-12
 
 
 def symplectic_form(g):
@@ -211,10 +221,9 @@ def test_theta_constants_obey_symplectic_invariance(case):
     a, b, c, d = gamma[:g, :g], gamma[:g, g:], gamma[g:, :g], gamma[g:, g:]
     denom = c @ tau.mat + d
     moved = PeriodMatrix((a @ tau.mat + b) @ np.linalg.inv(denom))
-    chars = enumerate_characteristics(g, 2)
-    before = np.abs([v.value for v in theta_table(tau, np.zeros(g), chars, 1e-15)])
-    images = theta_table(moved, np.zeros(g), [act(gamma, m) for m in chars], 1e-15)
-    after = np.abs([v.value for v in images])
+    before = np.abs(theta_table(tau, np.zeros(g), 2, 1e-15).values)
+    image = [entry(act(gamma, m)) for m in enumerate_characteristics(g, 2)]
+    after = np.abs(theta_table(moved, np.zeros(g), 2, 1e-15).values[image])
     want = np.sqrt(abs(np.linalg.det(denom))) * before
     assert np.max(np.abs(after - want)) <= 1e-12 * np.max(want)
 
@@ -224,10 +233,52 @@ def test_theta_table_level_three_g3_offlattice_z_matches_naive_sum():
     z = np.array([0.17, -0.29, 0.08]) + 1j * np.array([0.04, -0.03, 0.06])
     chars = enumerate_characteristics(3, 3)
     picked = [0, 13, 100, 364, 420, 581, 728]
-    table = theta_table(tau, z, chars)
+    table = theta_table(tau, z, 3)
     for i in picked:
         want = naive_theta(chars[i], tau.mat, z, 7)
-        assert abs(table[i].value - want) < 1e-12 * max(1.0, abs(want))
+        assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The number of points in each chunk of the box, read off np.bincount."""
+    sizes = []
+    bincount = np.bincount
+
+    def spy(bins, weights=None, minlength=0):
+        sizes.append(len(bins))
+        return bincount(bins, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return sizes
+
+
+def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
+    # the shared box is 39^4 points at radius 6, more than one chunk holds
+    tau = random_tau(4, 1)
+    z = np.array([0.12, -0.21, 0.05, 0.3]) + 1j * np.array([0.03, 0.0, -0.04, 0.02])
+    table = theta_table(tau, z, 3)
+    assert table.radius_used == 6 and 39**4 > MAX_BOX_POINTS
+    assert len(chunk_sizes) > 2 and max(chunk_sizes) <= MAX_BOX_POINTS
+    assert sum(chunk_sizes) == 2 * 39**4
+    chars = enumerate_characteristics(4, 3)
+    for i in (0, 1, 82, 2000, 3280, 4321, 6560):
+        want = naive_theta(chars[i], tau.mat, z, 5)
+        assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_theta_table_chunks_over_two_leading_axes(monkeypatch, chunk_sizes):
+    # with a cap of 13^2 = 169 points, one axis of the (2, 14) box (182
+    # points) already overflows a chunk, so both axes are swept as one
+    tau = random_tau(2, 3)
+    whole = theta_table(tau, np.zeros(2), 14)
+    monkeypatch.setattr(importlib.import_module("thetalab.theta"), "MAX_BOX_POINTS", 169)
+    chunk_sizes.clear()
+    chunked = theta_table(tau, np.zeros(2), 14)
+    assert chunked.radius_used == whole.radius_used == 6
+    assert max(chunk_sizes) <= 169 and sum(chunk_sizes) == 2 * 182**2
+    top = np.max(np.abs(whole.values))
+    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-14 * top
 
 
 def test_theta_table_box_cap_raises_before_allocating():
@@ -235,13 +286,13 @@ def test_theta_table_box_cap_raises_before_allocating():
     tau = PeriodMatrix(0.01j * np.eye(4))
     assert 99**4 > MAX_BOX_POINTS
     with pytest.raises(RadiusCapError, match="lattice points"):
-        theta_table(tau, np.zeros(4), [Characteristic(4, 2, (0,) * 4, (0,) * 4)])
+        theta_table(tau, np.zeros(4), 2)
 
 
 def test_odd_constant_vanishes():
     tau = PeriodMatrix(np.array([[1j]]))
-    v = theta(tau, np.zeros(1), Characteristic(1, 2, (1,), (1,)))
-    assert abs(v.value) < 1e-14
+    v = theta_table(tau, np.zeros(1), 2).values[entry(Characteristic(1, 2, (1,), (1,)))]
+    assert abs(v) < 1e-14
 
 
 def test_classify_magnitudes_clear_split():
@@ -381,7 +432,7 @@ def test_qh_ranks_count_each_mu_column(monkeypatch):
         table = build(tau, n, tol)
         values = table.values.copy()
         values[0b1000] = 0
-        return ConstantTable(table.tau, n, table.chars, values, table.tail_bounds)
+        return ConstantTable(table.tau, n, table.chars, values, table.tail_bound)
 
     monkeypatch.setattr(theta_module, "constant_table", one_more_zero)
     prof = qh_rank_profile(random_tau(2, 0), 2)
