@@ -160,7 +160,9 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     size = table_size(g, n)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    z = np.asarray(z, dtype=complex).reshape(g)
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (g,):
+        raise ValueError(f"dimensions differ: z has shape {z.shape}, tau has genus {g}")
 
     # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
     p = np.linalg.solve(tau.im, z.imag)

@@ -161,6 +161,12 @@ def test_theta_table_refuses_bad_levels_before_allocating(monkeypatch, g, n, mat
         theta_table(random_tau(g, 3), np.zeros(g), n)
 
 
+def test_theta_table_rejects_wrong_genus():
+    for z in (np.zeros(1), np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            theta_table(random_tau(2, 3), z, 2)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
 def test_theta_table_refuses_non_positive_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
