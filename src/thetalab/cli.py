@@ -75,22 +75,35 @@ def _tolerance(text) -> float:
     return float(text)
 
 
+# one entry of the count --table list as json.dumps(sort_keys=True, indent=2)
+# prints it at depth 2; %r is float.__repr__, the spelling json uses for the
+# finite floats a ConstantTable holds
+TABLE_ENTRY = (
+    '    {\n      "char": "%s",\n      "magnitude": %r,\n      "margin": %r,\n'
+    '      "value": [\n        %r,\n        %r\n      ],\n      "vanishing": %s\n    }'
+)
+
+
+def _table_json(col) -> str:
+    """The "table" list of count --table JSON, rendered from the table's columns."""
+    flags = ["true" if f else "false" for f in col["vanishing"]]
+    rows = zip(col["char"], col["magnitude"], col["margin"], col["value_re"], col["value_im"], flags)
+    return "[\n" + ",\n".join([TABLE_ENTRY % row for row in rows]) + "\n  ]"
+
+
 def cmd_count(args) -> int:
     tau = _load_tau(args.tau)
     table = constant_table(tau, args.n, tol=args.tol)
     out = count_torsion(tau, args.n, table=table).to_json()
-    if args.table:
-        out["table"] = table.to_json()["entries"]
-    if args.format == "json":
+    if args.format == "json" and args.table:
+        text = json.dumps(out | {"table": None}, sort_keys=True, indent=2)
+        print(text.replace('"table": null', '"table": ' + _table_json(table.columns()), 1))
+    elif args.format == "json":
         _emit(out, "json")
     elif args.table:
         # flat rows: one per characteristic, the complex value as two columns
-        rows = [
-            {k: v for k, v in e.items() if k != "value"}
-            | {"value_re": e["value"][0], "value_im": e["value"][1]}
-            for e in out["table"]
-        ]
-        _emit(rows, args.format)
+        col = table.columns()
+        _emit([dict(zip(col, row)) for row in zip(*col.values())], args.format)
     else:
         margins = {f"{k}_margin": v for k, v in out.pop("margins").items()}
         _emit(out | margins, args.format)

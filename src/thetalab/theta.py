@@ -23,10 +23,11 @@ from .matrices import build_M, split_blocks
 
 DEFAULT_TOL = 1e-12
 RADIUS_CAP = 60
-# the work cap on one characteristic's box (2r+1)^g, and the most points of
-# the shared box theta_table holds at once: a point costs about 100 bytes,
-# and every table of g <= 3 in normal use fits in one chunk
+# the work cap on one characteristic's box (2r+1)^g
 MAX_BOX_POINTS = 1_000_000
+# the most points of the shared box theta_table holds at once: a point costs
+# about 55 bytes, and every table of g <= 3 in normal use fits in one chunk
+CHUNK_POINTS = 2**16
 VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
 
@@ -154,7 +155,7 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     exp(pi i u^t tau u + 2 pi i u.z), u = v/n = m + a/n, over the points
     with v = a and m = r (mod n): one bincount on (a, r).  The sum over r is
     n^g times an inverse DFT of each a-row.  The box is swept in chunks of
-    at most MAX_BOX_POINTS points.
+    at most CHUNK_POINTS points.
     """
     g = tau.g
     size = table_size(g, n)
@@ -200,9 +201,9 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # bin (a, r) = (v mod n, m mod n), base n: a before r, the first coordinate first
     digit = (v % n) * n**g + (v // n) % n
     # the leading axes are swept as one flat axis, the others stay an open grid
-    lead = next(k for k in range(g + 1) if side ** (g - k) <= MAX_BOX_POINTS)
+    lead = next(k for k in range(g + 1) if side ** (g - k) <= CHUNK_POINTS)
     grid = g - lead
-    step = MAX_BOX_POINTS // side**grid
+    step = CHUNK_POINTS // side**grid
     trailing = [ix[None] for ix in np.ix_(*[np.arange(side)] * grid)]
     mat = tau.mat
     sums = np.zeros(size, dtype=complex)
@@ -264,7 +265,8 @@ class ConstantTable:
     certified is True when the exact product rule decides vanishing: level 2
     and exactly diagonal tau, where each constant is a product of genus-1
     constants and theta[a/2; b/2] of genus 1 vanishes iff ab = 1.  Otherwise
-    the threshold policy of classify_magnitudes decides.
+    the threshold policy of classify_magnitudes decides.  A table with a
+    non-finite magnitude is refused.
     """
 
     tau: PeriodMatrix
@@ -279,6 +281,8 @@ class ConstantTable:
 
     def __post_init__(self):
         self.magnitudes = np.abs(self.values)
+        if not np.isfinite(self.magnitudes).all():
+            raise ThetaLabError("constant table holds non-finite values")
         self.max_magnitude = float(self.magnitudes.max())
         if self.max_magnitude <= 0:
             raise ThetaLabError("constant table has no nonvanishing entry")
@@ -293,9 +297,9 @@ class ConstantTable:
         """The table's one vanishing decision, made on first use (read-only)."""
         if self._flags is None:
             if self.certified:
-                a = np.array([c.a for c in self.chars])
-                b = np.array([c.b for c in self.chars])
-                flags = (a * b).any(axis=1)
+                # index = a||b in binary, so some a_i b_i = 1 iff the two halves share a bit
+                index = np.arange(4**self.tau.g)
+                flags = ((index >> self.tau.g) & index) != 0
             else:
                 try:
                     flags = classify_magnitudes(self.magnitudes)
@@ -309,20 +313,26 @@ class ConstantTable:
             self._flags = flags
         return self._flags
 
+    def columns(self):
+        """The table as plain Python lists, one per field, in
+        enumerate_characteristics order: the keys, magnitudes, margins, the
+        real and imaginary parts of the values, and the vanishing flags."""
+        return {
+            "char": [c.key() for c in self.chars],
+            "magnitude": self.magnitudes.tolist(),
+            "margin": self.margins.tolist(),
+            "value_re": self.values.real.tolist(),
+            "value_im": self.values.imag.tolist(),
+            "vanishing": self.vanishing_flags().tolist(),
+        }
+
     def to_json(self):
-        flags = self.vanishing_flags()
         return {
             "n": self.n,
             "g": self.tau.g,
             "entries": [
-                {
-                    "char": c.key(),
-                    "value": [float(v.real), float(v.imag)],
-                    "magnitude": float(m),
-                    "margin": float(m / self.max_magnitude),
-                    "vanishing": bool(f),
-                }
-                for c, v, m, f in zip(self.chars, self.values, self.magnitudes, flags)
+                {"char": c, "value": [re, im], "magnitude": m, "margin": r, "vanishing": f}
+                for c, m, r, re, im, f in zip(*self.columns().values())
             ],
         }
 
@@ -382,7 +392,7 @@ def count_torsion(
 
 def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
-    y = np.asarray(y, dtype=complex).reshape(tau.g)
+    y = np.asarray(y, dtype=complex)
     flags = classify_magnitudes(np.abs(theta_table(tau, 2 * y, 2, tol).values))
     return int((~flags).sum())
 
@@ -401,7 +411,7 @@ def addition_residual(
     g = tau.g
     if char is not None and (char.n != 2 or char.g != g):
         raise ValueError("the addition formula applies to half-integer characteristics of genus g")
-    z = np.asarray(z, dtype=complex).reshape(g)
+    z = np.asarray(z, dtype=complex)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
     at2z = theta_table(tau, 2 * z, 2, tol).values.tolist()
     # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
@@ -426,7 +436,7 @@ def fay_relation_residual(
     where v is the given column of the block N.  With column None, the
     largest residual over all columns; both tables are evaluated once."""
     g = tau.g
-    z = np.asarray(z, dtype=complex).reshape(g)
+    z = np.asarray(z, dtype=complex)
     _, _, n = split_blocks(build_M(g))
     if column is not None and not (0 <= column < n.shape[1]):
         raise ValueError(f"column must be in [0, {n.shape[1]})")

@@ -2,13 +2,18 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thetalab.cli import main
-from thetalab.theta import PeriodMatrix, random_tau
+import thetalab
+from thetalab.cli import _emit, main
+from thetalab.theta import PeriodMatrix, constant_table, count_torsion, random_tau
 
 
 @pytest.fixture
@@ -446,3 +451,71 @@ def test_count_table_format_rows_are_flat(capsys, tau_file, table):
     assert len(rows) == (17 if table else 2)
     assert len({len(r) for r in rows}) == 1
     assert "{" not in out and "[" not in out
+
+
+def reference_entries(table):
+    """The count --table entries built one characteristic at a time from the
+    table's arrays: the reference for ConstantTable.to_json."""
+    return [
+        {
+            "char": c.key(),
+            "value": [float(v.real), float(v.imag)],
+            "magnitude": float(m),
+            "margin": float(m / table.max_magnitude),
+            "vanishing": bool(f),
+        }
+        for c, v, m, f in zip(table.chars, table.values, table.magnitudes, table.vanishing_flags())
+    ]
+
+
+# diagonal tau gives odd constants that are exact or signed zeros
+@pytest.mark.parametrize("kind", ["generic", "diagonal"])
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 6), (3, 2), (3, 3)])
+def test_count_table_prints_the_json_encoding(capsys, tmp_path, g, n, kind):
+    if kind == "generic":
+        tau = random_tau(g, 0)
+    else:
+        tau = PeriodMatrix(np.diag([k * (0.2 + 1j) + 0.1j for k in range(1, g + 1)]))
+    path = write_tau(tmp_path, tau.mat)
+    table = constant_table(tau, n)
+    entries = table.to_json()["entries"]
+    assert json.dumps(entries) == json.dumps(reference_entries(table))
+    summary = count_torsion(tau, n, table=table).to_json()
+    code, out, err = run(capsys, "count", "--tau", path, "--n", str(n), "--table")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(summary | {"table": entries}, sort_keys=True, indent=2) + "\n"
+    rows = [
+        {k: v for k, v in e.items() if k != "value"}
+        | {"value_re": e["value"][0], "value_im": e["value"][1]}
+        for e in entries
+    ]
+    for fmt in ("csv", "table"):
+        _emit(rows, fmt)
+        want = capsys.readouterr().out
+        assert run(capsys, "count", "--tau", path, "--n", str(n), "--table", "--format", fmt) == (0, want, "")
+
+
+def test_python_m_count_prints_what_main_prints(capsys, tau_file):
+    argv = ["count", "--tau", tau_file, "--n", "3", "--table"]
+    code, want, _ = run(capsys, *argv)
+    src = str(Path(thetalab.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetalab", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want, "")
+
+
+def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):
+    theta_module = importlib.import_module("thetalab.theta")
+    theta_table = theta_module.theta_table
+
+    def one_nan(*args, **kwargs):
+        table = theta_table(*args, **kwargs)
+        table.values[3] = np.nan
+        return table
+
+    monkeypatch.setattr(theta_module, "theta_table", one_nan)
+    code, out, err = run(capsys, "count", "--tau", tau_file, "--n", "2", "--table")
+    assert (code, out) == (2, "")
+    assert "non-finite" in err

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -17,6 +18,7 @@ from thetalab.characteristics import (
 )
 from thetalab.errors import AmbiguousVanishingError, RadiusCapError
 from thetalab.theta import (
+    CHUNK_POINTS,
     MAX_BOX_POINTS,
     ConstantTable,
     PeriodMatrix,
@@ -167,6 +169,13 @@ def test_theta_table_rejects_wrong_genus():
             theta_table(random_tau(2, 3), z, 2)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (3,)])
+@pytest.mark.parametrize("evaluate", [m_count, addition_residual, fay_relation_residual])
+def test_callers_of_theta_table_reject_wrong_genus(evaluate, shape):
+    with pytest.raises(ValueError, match="dimensions differ"):
+        evaluate(random_tau(2, 3), np.full(shape, 0.1 + 0.05j))
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
 def test_theta_table_refuses_non_positive_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -260,12 +269,19 @@ def chunk_sizes(monkeypatch):
 
 
 def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
-    # the shared box is 39^4 points at radius 6, more than one chunk holds
+    # the shared box is 39^4 points at radius 6, more than one chunk holds,
+    # and the sweep holds one chunk at a time
     tau = random_tau(4, 1)
     z = np.array([0.12, -0.21, 0.05, 0.3]) + 1j * np.array([0.03, 0.0, -0.04, 0.02])
-    table = theta_table(tau, z, 3)
+    tracemalloc.start()
+    try:
+        table = theta_table(tau, z, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     assert table.radius_used == 6 and 39**4 > MAX_BOX_POINTS
-    assert len(chunk_sizes) > 2 and max(chunk_sizes) <= MAX_BOX_POINTS
+    assert len(chunk_sizes) > 2 and max(chunk_sizes) <= CHUNK_POINTS
     assert sum(chunk_sizes) == 2 * 39**4
     chars = enumerate_characteristics(4, 3)
     for i in (0, 1, 82, 2000, 3280, 4321, 6560):
@@ -274,11 +290,11 @@ def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
 
 
 def test_theta_table_chunks_over_two_leading_axes(monkeypatch, chunk_sizes):
-    # with a cap of 13^2 = 169 points, one axis of the (2, 14) box (182
+    # with chunks of 13^2 = 169 points, one axis of the (2, 14) box (182
     # points) already overflows a chunk, so both axes are swept as one
     tau = random_tau(2, 3)
     whole = theta_table(tau, np.zeros(2), 14)
-    monkeypatch.setattr(importlib.import_module("thetalab.theta"), "MAX_BOX_POINTS", 169)
+    monkeypatch.setattr(importlib.import_module("thetalab.theta"), "CHUNK_POINTS", 169)
     chunk_sizes.clear()
     chunked = theta_table(tau, np.zeros(2), 14)
     assert chunked.radius_used == whole.radius_used == 6
@@ -337,6 +353,14 @@ def test_product_two_torsion_counts():
         res = count_torsion(tau, 2)
         assert res.count == expected
         assert res.certified
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_certified_flags_follow_the_product_rule(g):
+    table = constant_table(PeriodMatrix(np.diag([0.3 * k + 1j * (k + 1) for k in range(g)])), 2)
+    assert table.certified
+    rule = [any(x * y for x, y in zip(c.a, c.b)) for c in table.chars]
+    assert table.vanishing_flags().tolist() == rule
 
 
 def test_product_count_factorizes():
