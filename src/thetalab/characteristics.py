@@ -46,8 +46,10 @@ class Characteristic:
         object.__setattr__(self, "b", tuple(int(x) % self.n for x in self.b))
 
     def key(self):
-        """Compact string key 'a|b', stable across runs (JSON friendly)."""
-        return "".join(map(str, self.a)) + "|" + "".join(map(str, self.b))
+        """Compact string key 'a|b', stable across runs (JSON friendly); above
+        level 10 the coordinates are comma-separated, so that keys stay distinct."""
+        sep = "," if self.n > 10 else ""
+        return sep.join(map(str, self.a)) + "|" + sep.join(map(str, self.b))
 
 
 def table_size(g: int, n: int) -> int:
@@ -73,6 +75,12 @@ def enumerate_characteristics(g: int, n: int) -> tuple:
     """
     table_size(g, n)
     return tuple(Characteristic(g, n, ab[:g], ab[g:]) for ab in product(range(n), repeat=2 * g))
+
+
+@cache
+def characteristic_keys(g: int, n: int) -> tuple:
+    """The key() of every characteristic in enumerate_characteristics(g, n), built once per (g, n)."""
+    return tuple(c.key() for c in enumerate_characteristics(g, n))
 
 
 def odd_mask(g: int) -> np.ndarray:

@@ -3,11 +3,11 @@
 theta[delta; eps](tau, z) = sum_m exp[pi i (m+delta)^t tau (m+delta)
                                      + 2 pi i (m+delta)^t (z+eps)]
 
-summed over an integer box grown adaptively until a rigorous geometric
-majorant of the tail drops below the requested tolerance.  Before summing,
-z is reduced by quasi-periodicity (z = tau p + q with p, q shifted into a
-half-open unit box) and the nonvanishing exponential factor is tracked, so
-the returned value is theta at the original z.
+summed over an integer box of the least radius, found by bisection, whose
+rigorous geometric majorant of the tail meets the requested tolerance.
+Before summing, z is reduced by quasi-periodicity (z = tau p + q with p, q
+shifted into a half-open unit box) and the nonvanishing exponential factor
+is tracked, so the returned value is theta at the original z.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Characteristic, enumerate_characteristics, odd_mask, table_size
+from .characteristics import Characteristic, characteristic_keys, enumerate_characteristics, odd_mask, table_size
 from .errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from .matrices import build_M, split_blocks
 
@@ -144,10 +144,12 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
 
     The reduction of z, the summation radius r and the tail majorant depend
     only on (tau, z): characteristics and integer shifts are real, so they
-    leave |factor| unchanged.  The characteristic (a, b) sums over the
-    points |m - rint(-a/n)| <= r, and on each axis the union over a of
-    v = n m + a is one run of n(2r+1) integers.  So one box holds the points
-    of every characteristic, and each point costs one exponential through
+    leave |factor| unchanged.  r is the least radius up to RADIUS_CAP whose
+    majorant meets tol, found by bisection: the majorant does not grow with r.
+    The characteristic (a, b) sums over the points |m - rint(-a/n)| <= r,
+    and on each axis the union over a of v = n m + a is one run of n(2r+1)
+    integers.  So one box holds the points of every characteristic, and each
+    point costs one exponential through
 
         theta[a/n; b/n](tau, z) = e(a.b/n^2) sum_r S_a(r) e(r.b/n),
 
@@ -176,17 +178,17 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     if base == 0:
         raise ThetaLabError("quasi-periodicity factor underflowed to zero")
 
-    lam = tau.lam_min
-    c = float(np.linalg.norm(z_red.imag))
-    scale = abs(base)
-    radius = 6
-    while True:
-        tail = _series_tail(lam, c, radius, g)
-        if tail * scale <= tol:
-            break
-        if radius >= RADIUS_CAP:
-            raise RadiusCapError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
-        radius = min(RADIUS_CAP, radius + max(4, radius // 2))
+    lam, c, scale = tau.lam_min, float(np.linalg.norm(z_red.imag)), abs(base)
+    low, radius, tail = -1, RADIUS_CAP, _series_tail(lam, c, RADIUS_CAP, g)
+    if tail * scale > tol:
+        raise RadiusCapError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
+    while radius - low > 1:  # radius meets tol; low and every radius below it miss
+        mid = (low + radius) // 2
+        mid_tail = _series_tail(lam, c, mid, g)
+        if mid_tail * scale <= tol:
+            radius, tail = mid, mid_tail
+        else:
+            low = mid
     points = (2 * radius + 1) ** g
     if points > MAX_BOX_POINTS:
         raise RadiusCapError(
@@ -304,7 +306,7 @@ class ConstantTable:
                 try:
                     flags = classify_magnitudes(self.magnitudes)
                 except AmbiguousVanishingError as exc:
-                    names = [self.chars[i].key() for i in exc.offenders]
+                    names = [characteristic_keys(self.tau.g, self.n)[i] for i in exc.offenders]
                     raise AmbiguousVanishingError(
                         f"undecidable theta constants at characteristics {names}",
                         offenders=exc.offenders,
@@ -318,7 +320,7 @@ class ConstantTable:
         enumerate_characteristics order: the keys, magnitudes, margins, the
         real and imaginary parts of the values, and the vanishing flags."""
         return {
-            "char": [c.key() for c in self.chars],
+            "char": list(characteristic_keys(self.tau.g, self.n)),
             "magnitude": self.magnitudes.tolist(),
             "margin": self.margins.tolist(),
             "value_re": self.values.real.tolist(),

@@ -11,6 +11,7 @@ from thetalab.characteristics import (
     Characteristic,
     act,
     canonical_f2_order,
+    characteristic_keys,
     count_parity,
     enumerate_characteristics,
     generator_permutations,
@@ -93,6 +94,27 @@ def test_enumeration_is_shared():
     chars = enumerate_characteristics(3, 3)
     assert isinstance(chars, tuple)
     assert enumerate_characteristics(3, 3) is chars
+
+
+def test_keys_spell_digits_up_to_level_ten_and_separate_them_above():
+    assert Characteristic(2, 10, (9, 0), (3, 1)).key() == "90|31"
+    assert Characteristic(2, 11, (1, 10), (0, 2)).key() == "1,10|0,2"
+    keys = characteristic_keys(2, 3)
+    assert keys == tuple(c.key() for c in enumerate_characteristics(2, 3))
+    assert characteristic_keys(2, 3) is keys
+
+
+# (2, 12) and (2, 16) shared keys when digits were concatenated (20164 of
+# 20736 and 62500 of 65536 distinct); (2, 16), (1, 256), (3, 6) and (4, 4) are
+# the largest level each genus accepts
+@pytest.mark.parametrize("g,n", [(2, 11), (2, 12), (1, 256), (2, 16), (3, 6), (4, 4)])
+def test_keys_are_distinct(g, n):
+    try:
+        assert len(set(characteristic_keys(g, n))) == n ** (2 * g)
+    finally:
+        # some 20 MB of characteristics per level; no other test reads these
+        enumerate_characteristics.cache_clear()
+        characteristic_keys.cache_clear()
 
 
 def half(bits):

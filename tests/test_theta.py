@@ -4,9 +4,10 @@ import math
 import tracemalloc
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetalab.characteristics import (
@@ -22,6 +23,7 @@ from thetalab.theta import (
     MAX_BOX_POINTS,
     ConstantTable,
     PeriodMatrix,
+    _series_tail,
     addition_residual,
     classify_magnitudes,
     constant_table,
@@ -269,7 +271,7 @@ def chunk_sizes(monkeypatch):
 
 
 def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
-    # the shared box is 39^4 points at radius 6, more than one chunk holds,
+    # the shared box is 27^4 points at radius 4, more than two chunks hold,
     # and the sweep holds one chunk at a time
     tau = random_tau(4, 1)
     z = np.array([0.12, -0.21, 0.05, 0.3]) + 1j * np.array([0.03, 0.0, -0.04, 0.02])
@@ -280,9 +282,9 @@ def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert table.radius_used == 6 and 39**4 > MAX_BOX_POINTS
+    assert table.radius_used == 4 and 27**4 > 2 * CHUNK_POINTS
     assert len(chunk_sizes) > 2 and max(chunk_sizes) <= CHUNK_POINTS
-    assert sum(chunk_sizes) == 2 * 39**4
+    assert sum(chunk_sizes) == 2 * 27**4
     chars = enumerate_characteristics(4, 3)
     for i in (0, 1, 82, 2000, 3280, 4321, 6560):
         want = naive_theta(chars[i], tau.mat, z, 5)
@@ -290,25 +292,91 @@ def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
 
 
 def test_theta_table_chunks_over_two_leading_axes(monkeypatch, chunk_sizes):
-    # with chunks of 13^2 = 169 points, one axis of the (2, 14) box (182
-    # points) already overflows a chunk, so both axes are swept as one
+    # with chunks of 7^2 = 49 points, one axis of the (2, 14) box (98 points
+    # at radius 3) already overflows a chunk, so both axes are swept as one
     tau = random_tau(2, 3)
     whole = theta_table(tau, np.zeros(2), 14)
-    monkeypatch.setattr(importlib.import_module("thetalab.theta"), "CHUNK_POINTS", 169)
+    monkeypatch.setattr(importlib.import_module("thetalab.theta"), "CHUNK_POINTS", 49)
     chunk_sizes.clear()
     chunked = theta_table(tau, np.zeros(2), 14)
-    assert chunked.radius_used == whole.radius_used == 6
-    assert max(chunk_sizes) <= 169 and sum(chunk_sizes) == 2 * 182**2
+    assert chunked.radius_used == whole.radius_used == 3
+    assert max(chunk_sizes) <= 49 and sum(chunk_sizes) == 2 * 98**2
     top = np.max(np.abs(whole.values))
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-14 * top
 
 
 def test_theta_table_box_cap_raises_before_allocating():
-    # lam_min = 0.01 meets the tolerance near radius 49, a box of 99^4 points
+    # lam_min = 0.01 meets the tolerance at radius 37, a box of 75^4 points
     tau = PeriodMatrix(0.01j * np.eye(4))
-    assert 99**4 > MAX_BOX_POINTS
-    with pytest.raises(RadiusCapError, match="lattice points"):
+    assert 75**4 > MAX_BOX_POINTS
+    with pytest.raises(RadiusCapError, match="lattice points at radius 37 "):
         theta_table(tau, np.zeros(4), 2)
+
+
+@st.composite
+def radius_case(draw):
+    g = draw(st.integers(1, 3))
+    tau = random_tau(g, draw(st.integers(0, 10**6)))
+    re = [draw(st.floats(-2.0, 2.0)) for _ in range(g)]
+    im = [draw(st.floats(-0.25, 0.25)) for _ in range(g)]
+    assume(any(im))
+    return tau, np.array(re) + 1j * np.array(im), draw(st.integers(2, 4)), 10.0 ** -draw(st.integers(4, 15))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(radius_case())
+def test_theta_table_sums_at_the_least_radius_that_meets_tol(case):
+    tau, z, n, tol = case
+    # Im tau >= I and |Im z| < 1/2 leave Im z unreduced, so the quasi-periodic
+    # factor is 1 and the majorant is the series tail at c = |Im z|
+    assert np.all(np.floor(np.linalg.solve(tau.im, z.imag) + 0.5) == 0)
+    c = float(np.linalg.norm(z.imag))
+    table = theta_table(tau, z, n, tol)
+    r = table.radius_used
+    assert table.tail_bound == _series_tail(tau.lam_min, c, r, tau.g) <= tol
+    assert r == 0 or _series_tail(tau.lam_min, c, r - 1, tau.g) > tol
+
+
+def test_theta_table_refuses_an_unreachable_tolerance_in_few_tail_calls(monkeypatch):
+    # at lam_min = 1e-5 each majorant walks some 10^4 shells before its
+    # geometric remainder, so the refusal must not try radius after radius
+    theta_module = importlib.import_module("thetalab.theta")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _series_tail(*args)
+
+    monkeypatch.setattr(theta_module, "_series_tail", spy)
+    with pytest.raises(RadiusCapError, match="unreachable within radius cap 60"):
+        theta_table(PeriodMatrix(np.array([[1e-5j]])), np.zeros(1), 2)
+    assert 1 <= len(calls) <= 8
+
+
+def mpmath_theta(char, tau, z, terms=30):
+    """Independent oracle at g = 1: theta[a/n; b/n](tau, z) as a 40-digit
+    direct sum over |m| <= terms, with no reduction of z."""
+    with mpmath.workdps(40):
+        t, w = mpmath.mpc(tau.real, tau.imag), mpmath.mpc(z.real, z.imag)
+        d, e = mpmath.mpf(char.a[0]) / char.n, mpmath.mpf(char.b[0]) / char.n
+        ipi = mpmath.mpc(0, 1) * mpmath.pi
+        return complex(
+            mpmath.fsum(mpmath.exp(ipi * ((m + d) ** 2 * t + 2 * (m + d) * (w + e))) for m in range(-terms, terms + 1))
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_theta_table_g1_matches_mpmath(n):
+    # Im z up to 1 against Im tau down to 1/2 makes the reduction shift z
+    rng = np.random.default_rng(n)
+    for _ in range(12):
+        tau = PeriodMatrix(np.array([[rng.uniform(-0.5, 0.5) + 1j * rng.uniform(0.5, 1.5)]]))
+        z = rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)
+        table = theta_table(tau, z, n)
+        top = np.max(np.abs(table.values))
+        for c, got in zip(enumerate_characteristics(1, n), table.values):
+            want = mpmath_theta(c, tau.mat[0, 0], z[0])
+            assert abs(got - want) <= table.tail_bound + 1e-13 * top
 
 
 def test_odd_constant_vanishes():
