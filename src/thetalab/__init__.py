@@ -12,15 +12,12 @@ from .bounds import (
     evaluate_bounds,
 )
 from .characteristics import (
-    Characteristic,
     act,
     count_parity,
     enumerate_characteristics,
     generator_permutations,
     orbits,
-    parity,
     symplectic_generators,
-    symplectic_pairing,
 )
 from .errors import (
     AmbiguousVanishingError,

@@ -1,55 +1,29 @@
 """Theta characteristics and the mod-2 symplectic machinery.
 
 A level-n characteristic is a pair of integer vectors (a, b) mod n encoding
-(delta, eps) = (a/n, b/n) in (1/n)Z^g / Z^g.  For n = 2 a characteristic is
-identified with the vector a ++ b of F_2^{2g}, which carries the standard
-symplectic pairing; its parity is the quadratic form sum_i a_i b_i.
-Symplectic elements are plain 2g x 2g integer matrices in Sp(2g, Z); they
-act on half-integer characteristics by an affine formula that only reads
-them mod 2.  A generator set of Sp(2g, Z) is tabulated once per g as index
-permutations of the 4^g characteristics, and orbits are closures over that
-table; both run while the points fit in MAX_CHARACTERISTICS.
+(delta, eps) = (a/n, b/n) in (1/n)Z^g / Z^g.  It is its index: the base-n
+number a||b, a most significant, so the index orders characteristics
+lexicographically on a||b; enumerate_characteristics(g, n) holds the digit
+rows a||b of every index, and characteristic_keys(g, n) their 'a|b' keys.
+For n = 2 the index is the vector a ++ b of F_2^{2g} read in binary, which
+carries the standard symplectic pairing; its parity is the quadratic form
+sum_i a_i b_i.  Symplectic elements are plain 2g x 2g integer matrices in
+Sp(2g, Z); they act on half-integer characteristics by an affine formula
+that only reads them mod 2.  A generator set of Sp(2g, Z) is tabulated once
+per g as index permutations of the 4^g characteristics, and orbits are
+closures over that table; both run while the points fit in
+MAX_CHARACTERISTICS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 import numpy as np
 
-EVEN = "even"
-ODD = "odd"
-
 # largest n^{2g} enumerate_characteristics builds; (g, n) = (2, 6) needs 1296
 MAX_CHARACTERISTICS = 2**16
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Level-n theta characteristic (a/n, b/n)."""
-
-    g: int
-    n: int
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("g must be >= 1")
-        if self.n < 2:
-            raise ValueError("level n must be >= 2")
-        if len(self.a) != self.g or len(self.b) != self.g:
-            raise ValueError("characteristic vectors must have length g")
-        object.__setattr__(self, "a", tuple(int(x) % self.n for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) % self.n for x in self.b))
-
-    def key(self):
-        """Compact string key 'a|b', stable across runs (JSON friendly); above
-        level 10 the coordinates are comma-separated, so that keys stay distinct."""
-        sep = "," if self.n > 10 else ""
-        return sep.join(map(str, self.a)) + "|" + sep.join(map(str, self.b))
 
 
 def table_size(g: int, n: int) -> int:
@@ -67,37 +41,37 @@ def table_size(g: int, n: int) -> int:
 
 
 @cache
-def enumerate_characteristics(g: int, n: int) -> tuple:
-    """All n^{2g} characteristics, lexicographic on a||b (a most significant).
+def enumerate_characteristics(g: int, n: int) -> np.ndarray:
+    """All n^{2g} characteristics as a read-only (n^{2g}, 2g) int64 array:
+    row i holds the base-n digits a||b of the index i, a most significant.
 
-    Built once per (g, n); the characteristics are frozen, so callers share
-    them.  More than MAX_CHARACTERISTICS raises ValueError before any is built.
+    Built once per (g, n).  More than MAX_CHARACTERISTICS raises ValueError
+    before any is built.
     """
-    table_size(g, n)
-    return tuple(Characteristic(g, n, ab[:g], ab[g:]) for ab in product(range(n), repeat=2 * g))
+    size = table_size(g, n)
+    rows = np.indices((n,) * (2 * g), dtype=np.int64).reshape(2 * g, size).T
+    rows.flags.writeable = False
+    return rows
 
 
 @cache
 def characteristic_keys(g: int, n: int) -> tuple:
-    """The key() of every characteristic in enumerate_characteristics(g, n), built once per (g, n)."""
-    return tuple(c.key() for c in enumerate_characteristics(g, n))
+    """The key 'a|b' of every characteristic, in index order, built once per
+    (g, n): the digits of a, then of b, comma-separated above level 10 so
+    that keys stay distinct.  The one place a key is spelled."""
+    table_size(g, n)
+    sep = "," if n > 10 else ""
+    half = [sep.join(map(str, digits)) for digits in product(range(n), repeat=g)]
+    return tuple(x + "|" + y for x in half for y in half)
 
 
 def odd_mask(g: int) -> np.ndarray:
-    """Parities of the level-2 characteristics in enumerate_characteristics
-    order, True where sum a_i b_i is odd: read from the binary digits a||b
-    of each index, so no characteristic is built."""
+    """Parities of the level-2 characteristics in index order, True where
+    sum a_i b_i is odd: read from the binary digits a||b of each index."""
     _check_points(g)
     index = np.arange(4**g)
     both = (index >> g) & index  # the bits of a and b, one coordinate each
     return (both[:, None] >> np.arange(g) & 1).sum(axis=1) % 2 == 1
-
-
-def parity(c: Characteristic) -> str:
-    """Parity of a half-integer characteristic: odd iff sum a_i b_i is odd."""
-    if c.n != 2:
-        raise ValueError("parity is defined for level n = 2 only")
-    return ODD if sum(x * y for x, y in zip(c.a, c.b)) % 2 else EVEN
 
 
 def count_parity(g: int):
@@ -107,27 +81,17 @@ def count_parity(g: int):
     return 2 ** (g - 1) * (2**g + 1), 2 ** (g - 1) * (2**g - 1)
 
 
-def symplectic_pairing(m: Characteristic, n: Characteristic) -> int:
-    """Standard symplectic form sum_i (m.a_i n.b_i + n.a_i m.b_i) mod 2 of two
-    half-integer characteristics."""
-    if m.g != n.g:
-        raise ValueError("mismatched g")
-    if m.n != 2 or n.n != 2:
-        raise ValueError("the symplectic pairing is defined for level n = 2 only")
-    return sum(x * v + y * u for x, u, y, v in zip(m.a, m.b, n.a, n.b)) % 2
+def canonical_f2_order(g: int) -> np.ndarray:
+    """Index order used by all matrices: the even level-2 characteristics,
+    then the odd ones, each block in increasing index.  Its first
+    count_parity(g)[0] entries are K_g^+."""
+    return np.argsort(odd_mask(g), kind="stable")
 
 
-def isotropic_vectors(g: int):
-    """The even half-integer characteristics, lexicographic on a||b."""
-    chars = enumerate_characteristics(g, 2)
-    return [chars[i] for i in np.flatnonzero(~odd_mask(g))]
-
-
-def canonical_f2_order(g: int):
-    """Index order used by all matrices: the even characteristics, then the
-    odd ones, each block lexicographic on a||b."""
-    chars = enumerate_characteristics(g, 2)
-    return [chars[i] for i in np.argsort(odd_mask(g), kind="stable")]
+def kplus_positions(g: int, index):
+    """Positions in K_g^+, the even block of canonical_f2_order(g), of even
+    level-2 indices: K_g^+ is in increasing index, so a search finds them."""
+    return np.searchsorted(np.flatnonzero(~odd_mask(g)), index)
 
 
 def _check_points(g: int, tuples: int = 1):
@@ -157,27 +121,38 @@ def _act_rows(gamma: np.ndarray, ab: np.ndarray) -> np.ndarray:
     return (ab @ linear.T + shift) % 2
 
 
-def act(gamma, c: Characteristic) -> Characteristic:
-    """Image of one half-integer characteristic under a 2g x 2g integer
-    matrix gamma (see _act_rows).
+def check_index(g: int, index) -> np.ndarray:
+    """index as an int64 array; ValueError unless each entry is an integer
+    index of a level-2 characteristic of genus g, in [0, 4^g)."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu" or np.any(index < 0) or np.any(index >= 4**g):
+        raise ValueError(f"a level-2 characteristic index of genus {g} is an integer in [0, {4**g})")
+    return index.astype(np.int64)
+
+
+def act(gamma, index):
+    """Images of level-2 characteristics under a 2g x 2g integer matrix gamma
+    (see _act_rows): index is an int or an int array of indices, and the
+    images come back as indices of the same shape.
 
     The level-2 action reads gamma only mod 2, so it checks only that gamma
-    preserves J = (0 I; -I 0) mod 2; ValueError otherwise, and for a wrong
-    shape or a non-integer entry.
+    preserves J = (0 I; -I 0) mod 2; ValueError otherwise, for a shape other
+    than 2g x 2g, a non-integer entry, a g past MAX_CHARACTERISTICS and an
+    index outside [0, 4^g).
     """
-    if c.n != 2:
-        raise ValueError("the symplectic action is implemented at level 2")
-    g = c.g
     gamma = np.asarray(gamma)
-    if gamma.shape != (2 * g, 2 * g) or not np.array_equal(gamma, np.round(gamma)):
-        raise ValueError(f"gamma must be a {2 * g}x{2 * g} integer matrix")
+    g = len(gamma) // 2 if gamma.ndim == 2 else 0
+    if g < 1 or gamma.shape != (2 * g, 2 * g) or not np.array_equal(gamma, np.round(gamma)):
+        raise ValueError("gamma must be a 2g x 2g integer matrix with g >= 1")
+    rows = enumerate_characteristics(g, 2)
     gamma = gamma.astype(np.int64)
     eye = np.eye(g, dtype=np.int64)
     j = np.block([[0 * eye, eye], [-eye, 0 * eye]])
     if np.any((gamma.T @ j @ gamma - j) % 2):
         raise ValueError("matrix does not preserve the symplectic form mod 2")
-    ab = _act_rows(gamma, np.array([c.a + c.b], dtype=np.int64))[0]
-    return Characteristic(g, 2, ab[:g], ab[g:])
+    index = check_index(g, index)
+    images = _act_rows(gamma, rows[index.ravel()]) @ (1 << np.arange(2 * g - 1, -1, -1))
+    return images.reshape(index.shape)[()]
 
 
 @cache
@@ -247,8 +222,7 @@ def orbits(g: int, tuples: int = 1):
     _check_points(g, tuples)
     perms = generator_permutations(g)
     size = 4**g
-    # the key 'a|b' of index i: its binary digits, a most significant
-    keys = [f"{ab[:g]}|{ab[g:]}" for ab in (format(i, f"0{2 * g}b") for i in range(size))]
+    keys = characteristic_keys(g, 2)
 
     if tuples == 1:
         points = np.arange(size)

@@ -15,12 +15,11 @@ inside int64; Bareiss ranks are taken on python ints.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import product
 from math import comb, prod
 
 import numpy as np
 
-from .characteristics import canonical_f2_order, isotropic_vectors
+from .characteristics import canonical_f2_order, characteristic_keys, enumerate_characteristics, kplus_positions
 from .errors import VerificationError
 
 SIZE_CAP = 256
@@ -117,7 +116,7 @@ def build_M(g: int) -> np.ndarray:
         raise ValueError("g must be >= 1")
     if 4**g > SIZE_CAP:
         raise ValueError(f"size cap: 4^g must be <= {SIZE_CAP}")
-    bits = np.array([c.a + c.b for c in canonical_f2_order(g)], dtype=np.int64)
+    bits = enumerate_characteristics(g, 2)[canonical_f2_order(g)]
     a, b = bits[:, :g], bits[:, g:]
     return _frozen(1 - 2 * ((a @ b.T + b @ a.T) % 2))
 
@@ -242,12 +241,11 @@ def bk_selection(g: int) -> tuple:
     """Indices (into K_g^+ canonical order) of the 3^g strictly even
     characteristics (a_i b_i = 0 in every coordinate), in the mixed-radix
     coordinate-product order matching the Kronecker construction."""
-    pos = {c.a + c.b: i for i, c in enumerate(isotropic_vectors(g))}
-    sel = []
-    for digits in product(range(3), repeat=g):
-        a, b = zip(*(TRIPLE[d] for d in digits))
-        sel.append(pos[a + b])
-    return tuple(sel)
+    # digit d of coordinate i puts the bits TRIPLE[d] at a_i and b_i
+    ab = np.array(TRIPLE)[np.indices((3,) * g).reshape(g, -1)]
+    weights = 1 << np.arange(g - 1, -1, -1)
+    index = (weights @ ab[..., 0] << g) + weights @ ab[..., 1]
+    return tuple(kplus_positions(g, index).tolist())
 
 
 @cache
@@ -271,14 +269,15 @@ def export_json(name: str, g: int) -> dict:
     """JSON form of the matrix M, Mplus, Mminus, N, B, L or Bk at genus g.
 
     Rows and columns are labelled by the a||b bit strings of the
-    characteristics that index them; L, a Kronecker power, has no labels.
+    characteristics that index them, their keys without the '|'; L, a
+    Kronecker power, has no labels.
     """
     if name == "L":
         mat, rows, cols = build_L(g), None, None
     else:
         m = build_M(g)
         mp, mm, n = split_blocks(m)
-        keys = ["".join(map(str, c.a + c.b)) for c in canonical_f2_order(g)]
+        keys = [characteristic_keys(g, 2)[i].replace("|", "") for i in canonical_f2_order(g).tolist()]
         even, odd = keys[: len(mp)], keys[len(mp) :]
         if name == "M":
             mat, rows, cols = m, keys, keys

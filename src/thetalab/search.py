@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .characteristics import generator_permutations, odd_mask
+from .characteristics import generator_permutations, kplus_positions, odd_mask
 from .errors import VerificationError
 from .matrices import build_B, build_Bk, exact_rank
 
@@ -152,8 +152,7 @@ def _perm_action_on_kplus(g: int) -> tuple:
     generator_permutations(g) restricted to the even characteristics, which
     the action preserves.  Tuples of ints, for element-wise indexing."""
     even = np.flatnonzero(~odd_mask(g))
-    # even is sorted, so an even index's position in it is its K_g^+ index
-    return tuple(map(tuple, np.searchsorted(even, generator_permutations(g)[:, even]).tolist()))
+    return tuple(map(tuple, kplus_positions(g, generator_permutations(g)[:, even]).tolist()))
 
 
 def canonicalize_mask(indices, perms):

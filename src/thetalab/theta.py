@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import Characteristic, characteristic_keys, enumerate_characteristics, odd_mask, table_size
+from .characteristics import characteristic_keys, check_index, odd_mask, table_size
 from .errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from .matrices import build_M, split_blocks
 
@@ -273,7 +273,6 @@ class ConstantTable:
 
     tau: PeriodMatrix
     n: int
-    chars: list
     values: np.ndarray
     tail_bound: float
     magnitudes: np.ndarray = field(init=False)
@@ -316,9 +315,9 @@ class ConstantTable:
         return self._flags
 
     def columns(self):
-        """The table as plain Python lists, one per field, in
-        enumerate_characteristics order: the keys, magnitudes, margins, the
-        real and imaginary parts of the values, and the vanishing flags."""
+        """The table as plain Python lists, one per field, in index order:
+        the keys, magnitudes, margins, the real and imaginary parts of the
+        values, and the vanishing flags."""
         return {
             "char": list(characteristic_keys(self.tau.g, self.n)),
             "magnitude": self.magnitudes.tolist(),
@@ -342,7 +341,7 @@ class ConstantTable:
 def constant_table(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> ConstantTable:
     """Table of all n^{2g} theta constants theta[delta; eps](tau, 0)."""
     table = theta_table(tau, np.zeros(tau.g), n, tol)
-    return ConstantTable(tau, n, enumerate_characteristics(tau.g, n), table.values, table.tail_bound)
+    return ConstantTable(tau, n, table.values, table.tail_bound)
 
 
 @dataclass
@@ -400,25 +399,24 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
 
 
 def addition_residual(
-    tau: PeriodMatrix, z, char: Characteristic = None, tol: float = DEFAULT_TOL
+    tau: PeriodMatrix, z, index: int = None, tol: float = DEFAULT_TOL
 ) -> float:
     """Normalized residual of the level-2 addition formula.
 
     theta[d;e](tau,0) theta[d;e](tau,2z)
       = sum_sigma (-1)^{<2e,2sigma>} theta[s;0](2tau,2z) theta[d+s;0](2tau,2z)
-    with sigma running over half-integer vectors.  With char None, the
-    largest residual over all 4^g half-integer characteristics; each of the
-    three tables is evaluated once for all of them.
+    with sigma running over half-integer vectors, at the level-2 index of
+    [d; e] (ValueError outside [0, 4^g)).  With index None, the largest
+    residual over all 4^g half-integer characteristics; each of the three
+    tables is evaluated once for all of them.
     """
     g = tau.g
-    if char is not None and (char.n != 2 or char.g != g):
-        raise ValueError("the addition formula applies to half-integer characteristics of genus g")
+    picked = range(4**g) if index is None else [int(check_index(g, index))]
     z = np.asarray(z, dtype=complex)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
     at2z = theta_table(tau, 2 * z, 2, tol).values.tolist()
     # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
     at2tau = theta_table(tau.scaled(2), 2 * z, 2, tol).values[:: 2**g].tolist()
-    picked = range(4**g) if char is None else [int("".join(map(str, char.a + char.b)), 2)]
     worst = 0.0
     for i in picked:
         a, b = i >> g, i & (2**g - 1)

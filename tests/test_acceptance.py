@@ -56,7 +56,8 @@ def test_01_product_extremal_count():
             table = constant_table(product_tau(g, rng), 2)
             res = count_torsion(table.tau, 2, table=table)
             # product rule: a level-2 constant of diagonal tau vanishes iff some a_i b_i = 1
-            rule = np.array([any(x * y for x, y in zip(c.a, c.b)) for c in table.chars])
+            rows = enumerate_characteristics(g, 2)
+            rule = np.any(rows[:, :g] * rows[:, g:], axis=1)
             ok = (
                 ok
                 and res.count == want
@@ -135,12 +136,11 @@ def test_06_analytic_relation_suite():
     count = 0
     for g, trials in ((1, 50), (2, 50), (3, 20)):
         rng = np.random.default_rng(600 + g)
-        chars = enumerate_characteristics(g, 2)
         for t in range(trials):
             tau = random_tau(g, 600 * g + t)
             z = rng.uniform(-0.3, 0.3, g) + 1j * rng.uniform(-0.1, 0.1, g)
-            c = chars[int(rng.integers(len(chars)))]
-            worst = max(worst, addition_residual(tau, z, c))
+            index = int(rng.integers(4**g))
+            worst = max(worst, addition_residual(tau, z, index))
             count += 1
     for g in (1, 2):
         _, _, nblk = split_blocks(build_M(g))

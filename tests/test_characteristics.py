@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from thetalab.characteristics import (
-    EVEN,
     MAX_CHARACTERISTICS,
-    ODD,
-    Characteristic,
     act,
     canonical_f2_order,
     characteristic_keys,
@@ -17,39 +14,43 @@ from thetalab.characteristics import (
     generator_permutations,
     odd_mask,
     orbits,
-    parity,
     symplectic_generators,
-    symplectic_pairing,
     table_size,
 )
+
+
+# oracles on the bit rows a||b of level-2 characteristics, one sum each
+
+
+def parity(row):
+    """1 for an odd characteristic: sum a_i b_i is odd."""
+    g = len(row) // 2
+    return sum(x * y for x, y in zip(row[:g], row[g:])) % 2
+
+
+def symplectic_pairing(m, n):
+    """The standard symplectic form sum_i (m.a_i n.b_i + n.a_i m.b_i) mod 2."""
+    g = len(m) // 2
+    return sum(x * v + y * u for x, u, y, v in zip(m[:g], m[g:], n[:g], n[g:])) % 2
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3), (1, 4), (3, 2)])
 def test_enumeration_size_and_uniqueness(g, n):
     chars = enumerate_characteristics(g, n)
-    assert len(chars) == n ** (2 * g)
-    assert len(set(chars)) == len(chars)
+    assert chars.shape == (n ** (2 * g), 2 * g) and chars.dtype == np.int64
+    assert len({tuple(row) for row in chars.tolist()}) == len(chars)
+    # row i holds the base-n digits of i, a most significant
+    assert chars.tolist() == [list(digits) for digits in itertools.product(range(n), repeat=2 * g)]
 
 
 def test_enumeration_canonical_order_g1():
-    chars = enumerate_characteristics(1, 2)
-    assert [(c.a, c.b) for c in chars] == [
-        ((0,), (0,)),
-        ((0,), (1,)),
-        ((1,), (0,)),
-        ((1,), (1,)),
-    ]
+    assert enumerate_characteristics(1, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_parity_examples():
-    assert parity(Characteristic(1, 2, (1,), (1,))) == ODD
-    assert parity(Characteristic(1, 2, (0,), (0,))) == EVEN
-    assert parity(Characteristic(2, 2, (1, 1), (1, 1))) == EVEN
-
-
-def test_parity_rejects_higher_level():
-    with pytest.raises(ValueError):
-        parity(Characteristic(1, 3, (1,), (1,)))
+    for row, want in (((1, 1), 1), ((0, 0), 0), ((1, 1, 1, 1), 0)):
+        index = int("".join(map(str, row)), 2)
+        assert parity(row) == odd_mask(len(row) // 2)[index] == want
 
 
 @pytest.mark.parametrize("g,expected", [(1, (3, 1)), (2, (10, 6)), (3, (36, 28))])
@@ -60,14 +61,14 @@ def test_count_parity_closed_form(g, expected):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_count_parity_matches_enumeration(g):
     even, odd = count_parity(g)
-    tally = sum(1 for c in enumerate_characteristics(g, 2) if parity(c) == ODD)
+    tally = sum(parity(row) for row in enumerate_characteristics(g, 2).tolist())
     assert (even + odd, odd) == (4**g, tally)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_odd_mask_matches_parity(g):
-    # read from the bits of the index, against the characteristics themselves
-    want = [parity(c) == ODD for c in enumerate_characteristics(g, 2)]
+    # read from the bits of the index, against the rows a||b
+    want = [parity(row) == 1 for row in enumerate_characteristics(g, 2).tolist()]
     assert odd_mask(g).tolist() == want
 
 
@@ -92,15 +93,19 @@ def test_table_size_at_the_cap():
 
 def test_enumeration_is_shared():
     chars = enumerate_characteristics(3, 3)
-    assert isinstance(chars, tuple)
+    assert isinstance(chars, np.ndarray)
     assert enumerate_characteristics(3, 3) is chars
+    with pytest.raises(ValueError):
+        chars[0, 0] = 1
 
 
 def test_keys_spell_digits_up_to_level_ten_and_separate_them_above():
-    assert Characteristic(2, 10, (9, 0), (3, 1)).key() == "90|31"
-    assert Characteristic(2, 11, (1, 10), (0, 2)).key() == "1,10|0,2"
+    assert characteristic_keys(2, 10)[9031] == "90|31"
+    # a = (1, 10), b = (0, 2) is the base-11 number 1 10 0 2
+    assert characteristic_keys(2, 11)[((1 * 11 + 10) * 11 + 0) * 11 + 2] == "1,10|0,2"
     keys = characteristic_keys(2, 3)
-    assert keys == tuple(c.key() for c in enumerate_characteristics(2, 3))
+    rows = enumerate_characteristics(2, 3).tolist()
+    assert keys == tuple("".join(map(str, r[:2])) + "|" + "".join(map(str, r[2:])) for r in rows)
     assert characteristic_keys(2, 3) is keys
 
 
@@ -112,76 +117,56 @@ def test_keys_are_distinct(g, n):
     try:
         assert len(set(characteristic_keys(g, n))) == n ** (2 * g)
     finally:
-        # some 20 MB of characteristics per level; no other test reads these
-        enumerate_characteristics.cache_clear()
+        # up to 65536 keys per level; no other test reads these
         characteristic_keys.cache_clear()
 
 
-def half(bits):
-    """Level-2 characteristic with a ++ b = bits."""
-    g = len(bits) // 2
-    return Characteristic(g, 2, bits[:g], bits[g:])
-
-
-def add(m, n):
-    return Characteristic(m.g, 2, [x + y for x, y in zip(m.a, n.a)], [x + y for x, y in zip(m.b, n.b)])
-
-
 def test_pairing_examples():
-    assert symplectic_pairing(half((1, 0)), half((0, 1))) == 1
-    assert symplectic_pairing(half((1, 0)), half((1, 0))) == 0
-    assert symplectic_pairing(half((1, 0, 0, 0)), half((0, 1, 0, 0))) == 0
-
-
-def test_pairing_rejects_mismatched_g():
-    with pytest.raises(ValueError):
-        symplectic_pairing(half((1, 0)), half((1, 0, 0, 0)))
-
-
-def test_pairing_rejects_higher_level():
-    with pytest.raises(ValueError):
-        symplectic_pairing(half((1, 0)), Characteristic(1, 3, (1,), (2,)))
+    assert symplectic_pairing((1, 0), (0, 1)) == 1
+    assert symplectic_pairing((1, 0), (1, 0)) == 0
+    assert symplectic_pairing((1, 0, 0, 0), (0, 1, 0, 0)) == 0
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_pairing_alternating_and_polarization(g):
-    vecs = enumerate_characteristics(g, 2)
-    for m in vecs:
+    # the sum of two characteristics is the xor of their indices
+    rows = enumerate_characteristics(g, 2).tolist()
+    odd = odd_mask(g)
+    for m in rows:
         assert symplectic_pairing(m, m) == 0
-    for m, n in itertools.product(vecs, vecs):
-        qm = parity(m) == ODD
-        qn = parity(n) == ODD
-        qmn = parity(add(m, n)) == ODD
-        assert qmn == (qm ^ qn ^ bool(symplectic_pairing(m, n)))
+    for i, j in itertools.product(range(4**g), repeat=2):
+        assert odd[i ^ j] == (odd[i] ^ odd[j] ^ bool(symplectic_pairing(rows[i], rows[j])))
 
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_pairing_bilinear_exhaustive(g):
-    vecs = enumerate_characteristics(g, 2)
-    for m1, m2, n in itertools.product(vecs, vecs, vecs):
-        assert symplectic_pairing(add(m1, m2), n) == (
-            symplectic_pairing(m1, n) + symplectic_pairing(m2, n)
+    rows = enumerate_characteristics(g, 2).tolist()
+    for i, j, k in itertools.product(range(4**g), repeat=3):
+        assert symplectic_pairing(rows[i ^ j], rows[k]) == (
+            symplectic_pairing(rows[i], rows[k]) + symplectic_pairing(rows[j], rows[k])
         ) % 2
 
 
 def test_pairing_bilinear_sampled_g3():
     rng = random.Random(5)
-    vecs = enumerate_characteristics(3, 2)
+    rows = enumerate_characteristics(3, 2).tolist()
     for _ in range(2000):
-        m1, m2, n = (rng.choice(vecs) for _ in range(3))
-        assert symplectic_pairing(add(m1, m2), n) == (
-            symplectic_pairing(m1, n) + symplectic_pairing(m2, n)
+        i, j, k = (rng.randrange(64) for _ in range(3))
+        assert symplectic_pairing(rows[i ^ j], rows[k]) == (
+            symplectic_pairing(rows[i], rows[k]) + symplectic_pairing(rows[j], rows[k])
         ) % 2
 
 
 def test_canonical_order_isotropic_first():
     for g in (1, 2, 3):
-        order = canonical_f2_order(g)
+        order = canonical_f2_order(g).tolist()
+        rows = enumerate_characteristics(g, 2).tolist()
         kp = count_parity(g)[0]
-        assert all(parity(c) == EVEN for c in order[:kp])
-        assert all(parity(c) == ODD for c in order[kp:])
-        assert [c.a + c.b for c in order[:kp]] == sorted(c.a + c.b for c in order[:kp])
-        assert [c.a + c.b for c in order[kp:]] == sorted(c.a + c.b for c in order[kp:])
+        assert sorted(order) == list(range(4**g))
+        assert all(parity(rows[i]) == 0 for i in order[:kp])
+        assert all(parity(rows[i]) == 1 for i in order[kp:])
+        assert [rows[i] for i in order[:kp]] == sorted(rows[i] for i in order[:kp])
+        assert [rows[i] for i in order[kp:]] == sorted(rows[i] for i in order[kp:])
 
 
 def symplectic_form(g):
@@ -221,50 +206,59 @@ def test_generators_reduce_to_the_f2_generators(g):
 
 
 def test_act_rejects_invalid_matrix():
-    c = Characteristic(1, 2, (1,), (0,))
     with pytest.raises(ValueError, match="symplectic form mod 2"):
-        act(np.ones((2, 2), dtype=np.int64), c)
+        act(np.ones((2, 2), dtype=np.int64), 2)
     # at g = 1, gamma^t J gamma = det(gamma) J, and det 2 vanishes mod 2
     with pytest.raises(ValueError, match="symplectic form mod 2"):
-        act(np.array([[1, 0], [0, 2]]), c)
-    with pytest.raises(ValueError, match="2x2 integer matrix"):
-        act(np.eye(4, dtype=np.int64), c)
-    with pytest.raises(ValueError, match="2x2 integer matrix"):
-        act(0.5 * np.eye(2), c)
+        act(np.array([[1, 0], [0, 2]]), 2)
+    for gamma in (np.eye(3, dtype=np.int64), np.ones((2, 4), dtype=np.int64), np.array(1), 0.5 * np.eye(2)):
+        with pytest.raises(ValueError, match="2g x 2g integer matrix"):
+            act(gamma, 2)
+
+
+@pytest.mark.parametrize("index", [-1, 4, 16, [0, 4], 1.0, 2.5, np.array([0.0, 1.0]), True, 2**70])
+def test_act_refuses_an_index_outside_the_table(index):
+    # at g = 1 the indices are 0..3; a characteristic is never reduced mod 2
+    with pytest.raises(ValueError, match=r"integer in \[0, 4\)"):
+        act(np.eye(2, dtype=np.int64), index)
+
+
+def test_act_keeps_the_shape_of_its_indices():
+    gamma = symplectic_generators(2)[0]
+    images = act(gamma, np.arange(16).reshape(4, 4))
+    assert images.shape == (4, 4) and images.dtype == np.int64
+    assert int(act(gamma, 5)) == images[1, 1] == generator_permutations(2)[0, 5]
+    assert act(gamma, np.arange(0)).shape == (0,)
 
 
 def test_act_reads_integer_matrices_mod_2():
     # (1 2; 0 1) is the identity mod 2; -I acts trivially
     for gamma in (np.array([[1, 2], [0, 1]]), -np.eye(2, dtype=np.int64)):
-        for c in enumerate_characteristics(1, 2):
-            assert act(gamma, c) == c
+        assert act(gamma, np.arange(4)).tolist() == [0, 1, 2, 3]
 
 
 def test_identity_acts_trivially():
     for g in (1, 2, 3):
-        ident = np.eye(2 * g)
-        for c in enumerate_characteristics(g, 2):
-            assert act(ident, c) == c
+        assert act(np.eye(2 * g), np.arange(4**g)).tolist() == list(range(4**g))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_action_preserves_parity(g):
+    rows = enumerate_characteristics(g, 2).tolist()
     for gamma in symplectic_generators(g):
-        for c in enumerate_characteristics(g, 2):
-            assert parity(act(gamma, c)) == parity(c)
+        assert [parity(rows[j]) for j in act(gamma, np.arange(4**g))] == [parity(r) for r in rows]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_group_action_law(g):
     rng = random.Random(11)
     gens = symplectic_generators(g)
-    chars = enumerate_characteristics(g, 2)
     j = symplectic_form(g)
     for _ in range(300):
         g1, g2 = rng.choice(gens), rng.choice(gens)
         product = g1 @ g2
         assert np.array_equal(product.T @ j @ product, j)
-        c = rng.choice(chars)
+        c = rng.randrange(4**g)
         assert act(product, c) == act(g1, act(g2, c))
 
 
@@ -290,12 +284,12 @@ def test_orbits_g2_pairs_double_transitive():
 def test_generator_permutations_match_act(g):
     perms = generator_permutations(g)
     gens = symplectic_generators(g)
-    chars = enumerate_characteristics(g, 2)
+    rows = enumerate_characteristics(g, 2).tolist()
     assert perms.shape == (len(gens), 4**g)
     for row, gamma in zip(perms.tolist(), gens):
         assert sorted(row) == list(range(4**g))
-        assert [act(gamma, c) for c in chars] == [chars[j] for j in row]
-        assert [parity(chars[j]) for j in row] == [parity(c) for c in chars]
+        assert [int(act(gamma, c)) for c in range(4**g)] == row
+        assert [parity(rows[j]) for j in row] == [parity(r) for r in rows]
 
 
 def test_generator_permutations_shared_and_read_only():
@@ -317,13 +311,15 @@ def test_orbits_g3_pairs_double_transitive():
 
 
 def closure_orbits(g, tuples):
-    """Reference: breadth-first closure of each point under act, as sorted key lists."""
+    """Reference: breadth-first closure of each point under act, as sorted
+    key lists, each key spelled from the binary digits of its index."""
     gens = symplectic_generators(g)
-    chars = enumerate_characteristics(g, 2)
+    rows = enumerate_characteristics(g, 2).tolist()
+    chars = range(4**g)
     if tuples == 1:
         points = [(c,) for c in chars]
     else:
-        points = [(x, y) for x in chars for y in chars if x != y and parity(x) == parity(y)]
+        points = [(x, y) for x in chars for y in chars if x != y and parity(rows[x]) == parity(rows[y])]
     seen, found = set(), []
     for start in points:
         if start in seen:
@@ -332,11 +328,12 @@ def closure_orbits(g, tuples):
         orb = [start]
         for p in orb:
             for gamma in gens:
-                q = tuple(act(gamma, c) for c in p)
+                q = tuple(int(act(gamma, c)) for c in p)
                 if q not in seen:
                     seen.add(q)
                     orb.append(q)
-        found.append(sorted(",".join(c.key() for c in p) for p in orb))
+        bits = [[format(c, f"0{2 * g}b") for c in p] for p in orb]
+        found.append(sorted(",".join(b[:g] + "|" + b[g:] for b in p) for p in bits))
     return sorted(found, key=lambda o: (len(o), o[0]))
 
 

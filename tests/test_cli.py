@@ -455,16 +455,19 @@ def test_count_table_format_rows_are_flat(capsys, tau_file, table):
 
 def reference_entries(table):
     """The count --table entries built one characteristic at a time from the
-    table's arrays: the reference for ConstantTable.to_json."""
+    table's arrays: the reference for ConstantTable.to_json.  The key of
+    index i is spelled from its base-n digits (n <= 10), a then b."""
+    g = table.tau.g
+    digits = [np.base_repr(i, table.n).zfill(2 * g) for i in range(len(table.values))]
     return [
         {
-            "char": c.key(),
+            "char": d[:g] + "|" + d[g:],
             "value": [float(v.real), float(v.imag)],
             "magnitude": float(m),
             "margin": float(m / table.max_magnitude),
             "vanishing": bool(f),
         }
-        for c, v, m, f in zip(table.chars, table.values, table.magnitudes, table.vanishing_flags())
+        for d, v, m, f in zip(digits, table.values, table.magnitudes, table.vanishing_flags())
     ]
 
 
@@ -504,6 +507,22 @@ def test_python_m_count_prints_what_main_prints(capsys, tau_file):
         [sys.executable, "-m", "thetalab", *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, want, "")
+
+
+def test_import_builds_no_table():
+    # a one-shot CLI process pays for whatever the import builds, so every
+    # cached table is built on first use
+    src = str(Path(thetalab.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import thetalab.cli\n"
+        "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
+        "from thetalab.matrices import build_M\n"
+        "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
+        "print([t.cache_info().currsize for t in tables])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):

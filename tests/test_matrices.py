@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.characteristics import canonical_f2_order, symplectic_pairing
+from thetalab.characteristics import canonical_f2_order
 from thetalab.errors import VerificationError
 from thetalab.matrices import (
     TRIPLE,
@@ -152,9 +152,16 @@ def test_M_is_symmetric_sign_matrix(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_M_matches_symplectic_pairing_entrywise(g):
-    # the pairing of two characteristics is the oracle for the one-expression build
-    order = canonical_f2_order(g)
-    want = [[1 - 2 * symplectic_pairing(x, y) for y in order] for x in order]
+    # the pairing of two characteristics, read off the binary digits of their
+    # indices, is the oracle for the one-expression build; evens come first
+    bits = [[int(d) for d in format(i, f"0{2 * g}b")] for i in range(4**g)]
+    odd = [sum(x * y for x, y in zip(r[:g], r[g:])) % 2 for r in bits]
+    order = sorted(range(4**g), key=lambda i: odd[i])
+
+    def pairing(m, n):
+        return sum(x * v + y * u for x, u, y, v in zip(m[:g], m[g:], n[:g], n[g:])) % 2
+
+    want = [[1 - 2 * pairing(bits[x], bits[y]) for y in order] for x in order]
     assert build_M(g).tolist() == want
 
 
@@ -352,7 +359,7 @@ def test_bk_selection_lands_in_isotropic_range():
 
 
 def test_labels_follow_canonical_order():
-    keys = ["".join(map(str, c.a + c.b)) for c in canonical_f2_order(2)]
+    keys = [format(i, "04b") for i in canonical_f2_order(2).tolist()]
     blob = export_json("M", 2)
     assert blob["row_labels"] == blob["col_labels"] == keys
     assert keys[:10] == sorted(keys[:10]) and keys[10:] == sorted(keys[10:])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from thetalab.characteristics import (
     MAX_CHARACTERISTICS,
-    Characteristic,
     act,
     enumerate_characteristics,
     symplectic_generators,
@@ -36,20 +35,21 @@ from thetalab.theta import (
 )
 
 
-def naive_theta(char, tau, z, radius):
-    """Independent oracle: the direct sum over the box |m_i| <= radius, with
-    no reduction of z, no binning and no transform."""
-    g = char.g
-    delta = np.array(char.a, dtype=float) / char.n
-    eps = np.array(char.b, dtype=float) / char.n
+def naive_theta(a, b, n, tau, z, radius):
+    """Independent oracle: theta[a/n; b/n](tau, z) as the direct sum over the
+    box |m_i| <= radius, with no reduction of z, no binning and no transform."""
+    g = len(a)
+    delta = np.array(a, dtype=float) / n
+    eps = np.array(b, dtype=float) / n
     p = np.indices((2 * radius + 1,) * g).reshape(g, -1).T - radius + delta
     quad = np.einsum("ki,ij,kj->k", p, tau, p)
     return np.exp(1j * math.pi * quad + 2j * math.pi * p @ (z + eps)).sum()
 
 
-def entry(char):
-    """Index of a characteristic in its level's table."""
-    return enumerate_characteristics(char.g, char.n).index(char)
+def halves(g, n):
+    """The pairs (a, b) of the level-n table, in index order."""
+    rows = enumerate_characteristics(g, n)
+    return zip(rows[:, :g], rows[:, g:])
 
 
 def test_period_matrix_rejects_asymmetric():
@@ -77,8 +77,8 @@ def test_period_matrix_from_json_rejects_bad_shape():
 def test_theta_matches_naive_sum_g1():
     tau = PeriodMatrix(np.array([[1j]]))
     table = theta_table(tau, np.zeros(1), 2)
-    for c, got in zip(enumerate_characteristics(1, 2), table.values):
-        want = naive_theta(c, tau.mat, np.zeros(1), 12)
+    for (a, b), got in zip(halves(1, 2), table.values):
+        want = naive_theta(a, b, 2, tau.mat, np.zeros(1), 12)
         assert abs(got - want) < 1e-12
 
 
@@ -93,18 +93,17 @@ def test_theta_matches_naive_sum_g2_offlattice_z():
     tau = random_tau(2, 9)
     z = np.array([0.21, -0.13]) + 1j * np.array([0.05, 0.02])
     table = theta_table(tau, z, 2)
-    for c, got in zip(enumerate_characteristics(2, 2)[:6], table.values):
-        want = naive_theta(c, tau.mat, z, 10)
+    for (a, b), got in zip(halves(2, 2), table.values[:6]):
+        want = naive_theta(a, b, 2, tau.mat, z, 10)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_theta_quasi_periodic_reduction_large_z():
     # z far outside the fundamental domain exercises the reduction factor
     tau = random_tau(2, 1)
-    c = Characteristic(2, 2, (0, 1), (1, 0))
     z = tau.mat @ np.array([3.0, -2.0]) + np.array([4.0, 5.0]) + np.array([0.3, 0.1])
-    got = theta_table(tau, z, 2).values[entry(c)]
-    want = naive_theta(c, tau.mat, z, 14)
+    got = theta_table(tau, z, 2).values[0b0110]
+    want = naive_theta((0, 1), (1, 0), 2, tau.mat, z, 14)
     assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
@@ -115,16 +114,16 @@ def test_theta_table_quasi_periodic_reduction_every_level(n):
     tau = random_tau(2, 5)
     z = tau.mat @ np.array([2.0, -1.0]) + np.array([1.0, -3.0]) + np.array([0.2, -0.1])
     table = theta_table(tau, z, n)
-    for c, got in zip(enumerate_characteristics(2, n), table.values):
-        want = naive_theta(c, tau.mat, z, 14)
+    for (a, b), got in zip(halves(2, n), table.values):
+        want = naive_theta(a, b, n, tau.mat, z, 14)
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_theta_level_three_characteristic():
     tau = PeriodMatrix(np.array([[0.1 + 1.2j]]))
-    c = Characteristic(1, 3, (1,), (2,))
-    got = theta_table(tau, np.zeros(1), 3).values[entry(c)]
-    want = naive_theta(c, tau.mat, np.zeros(1), 12)
+    # a||b = 1 2 in base 3
+    got = theta_table(tau, np.zeros(1), 3).values[5]
+    want = naive_theta((1,), (2,), 3, tau.mat, np.zeros(1), 12)
     assert abs(got - want) < 1e-11
 
 
@@ -132,8 +131,8 @@ def test_constant_table_level_three_matches_naive_sum():
     # several eps per delta, and delta = 2/3 puts the box centre at -1
     tau = random_tau(2, 4)
     table = constant_table(tau, 3)
-    for c, got in zip(table.chars, table.values):
-        want = naive_theta(c, tau.mat, np.zeros(2), 10)
+    for (a, b), got in zip(halves(2, 3), table.values):
+        want = naive_theta(a, b, 3, tau.mat, np.zeros(2), 10)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
@@ -142,9 +141,8 @@ def test_theta_table_level_two_offlattice_z_matches_naive_sum():
     z = tau.mat @ np.array([1.0, -1.0]) + np.array([0.3, -0.2]) + 0.05j
     # the reduction must carry a nonzero quasi-periodic shift
     assert np.any(np.floor(np.linalg.solve(tau.im, z.imag) + 0.5) != 0)
-    chars = enumerate_characteristics(2, 2)
-    for c, got in zip(chars, theta_table(tau, z, 2).values):
-        want = naive_theta(c, tau.mat, z, 14)
+    for (a, b), got in zip(halves(2, 2), theta_table(tau, z, 2).values):
+        want = naive_theta(a, b, 2, tau.mat, z, 14)
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
@@ -207,8 +205,8 @@ def test_theta_table_property_matches_naive_sum(case):
     tau, z, n = case
     table = theta_table(tau, z, n)
     assert len(table.values) == n ** (2 * tau.g)
-    for c, got in zip(enumerate_characteristics(tau.g, n), table.values):
-        want = naive_theta(c, tau.mat, z, 9)
+    for (a, b), got in zip(halves(tau.g, n), table.values):
+        want = naive_theta(a, b, n, tau.mat, z, 9)
         assert abs(got - want) < 1e-12
 
 
@@ -239,7 +237,7 @@ def test_theta_constants_obey_symplectic_invariance(case):
     denom = c @ tau.mat + d
     moved = PeriodMatrix((a @ tau.mat + b) @ np.linalg.inv(denom))
     before = np.abs(theta_table(tau, np.zeros(g), 2, 1e-15).values)
-    image = [entry(act(gamma, m)) for m in enumerate_characteristics(g, 2)]
+    image = act(gamma, np.arange(4**g))
     after = np.abs(theta_table(moved, np.zeros(g), 2, 1e-15).values[image])
     want = np.sqrt(abs(np.linalg.det(denom))) * before
     assert np.max(np.abs(after - want)) <= 1e-12 * np.max(want)
@@ -252,7 +250,7 @@ def test_theta_table_level_three_g3_offlattice_z_matches_naive_sum():
     picked = [0, 13, 100, 364, 420, 581, 728]
     table = theta_table(tau, z, 3)
     for i in picked:
-        want = naive_theta(chars[i], tau.mat, z, 7)
+        want = naive_theta(chars[i, :3], chars[i, 3:], 3, tau.mat, z, 7)
         assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -287,7 +285,7 @@ def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
     assert sum(chunk_sizes) == 2 * 27**4
     chars = enumerate_characteristics(4, 3)
     for i in (0, 1, 82, 2000, 3280, 4321, 6560):
-        want = naive_theta(chars[i], tau.mat, z, 5)
+        want = naive_theta(chars[i, :4], chars[i, 4:], 3, tau.mat, z, 5)
         assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -353,12 +351,12 @@ def test_theta_table_refuses_an_unreachable_tolerance_in_few_tail_calls(monkeypa
     assert 1 <= len(calls) <= 8
 
 
-def mpmath_theta(char, tau, z, terms=30):
+def mpmath_theta(a, b, n, tau, z, terms=30):
     """Independent oracle at g = 1: theta[a/n; b/n](tau, z) as a 40-digit
     direct sum over |m| <= terms, with no reduction of z."""
     with mpmath.workdps(40):
         t, w = mpmath.mpc(tau.real, tau.imag), mpmath.mpc(z.real, z.imag)
-        d, e = mpmath.mpf(char.a[0]) / char.n, mpmath.mpf(char.b[0]) / char.n
+        d, e = mpmath.mpf(int(a[0])) / n, mpmath.mpf(int(b[0])) / n
         ipi = mpmath.mpc(0, 1) * mpmath.pi
         return complex(
             mpmath.fsum(mpmath.exp(ipi * ((m + d) ** 2 * t + 2 * (m + d) * (w + e))) for m in range(-terms, terms + 1))
@@ -374,14 +372,14 @@ def test_theta_table_g1_matches_mpmath(n):
         z = rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)
         table = theta_table(tau, z, n)
         top = np.max(np.abs(table.values))
-        for c, got in zip(enumerate_characteristics(1, n), table.values):
-            want = mpmath_theta(c, tau.mat[0, 0], z[0])
+        for (a, b), got in zip(halves(1, n), table.values):
+            want = mpmath_theta(a, b, n, tau.mat[0, 0], z[0])
             assert abs(got - want) <= table.tail_bound + 1e-13 * top
 
 
 def test_odd_constant_vanishes():
     tau = PeriodMatrix(np.array([[1j]]))
-    v = theta_table(tau, np.zeros(1), 2).values[entry(Characteristic(1, 2, (1,), (1,)))]
+    v = theta_table(tau, np.zeros(1), 2).values[0b11]
     assert abs(v) < 1e-14
 
 
@@ -427,7 +425,7 @@ def test_product_two_torsion_counts():
 def test_certified_flags_follow_the_product_rule(g):
     table = constant_table(PeriodMatrix(np.diag([0.3 * k + 1j * (k + 1) for k in range(g)])), 2)
     assert table.certified
-    rule = [any(x * y for x, y in zip(c.a, c.b)) for c in table.chars]
+    rule = [bool(np.any(a * b)) for a, b in halves(g, 2)]
     assert table.vanishing_flags().tolist() == rule
 
 
@@ -442,10 +440,9 @@ def test_product_count_factorizes():
     numeric = classify_magnitudes(joint.magnitudes)
     assert np.array_equal(numeric, joint.vanishing_flags())
     # vanishing on the product is the "or" of factor vanishings
-    chars = enumerate_characteristics(2, 2)
-    for c, f in zip(chars, numeric):
-        f1 = flags[0][2 * c.a[0] + c.b[0]]
-        f2 = flags[1][2 * c.a[1] + c.b[1]]
+    for (a, b), f in zip(halves(2, 2), numeric):
+        f1 = flags[0][2 * a[0] + b[0]]
+        f2 = flags[1][2 * a[1] + b[1]]
         assert f == (f1 or f2)
 
 
@@ -467,8 +464,15 @@ def test_m_count_range_g2():
 def test_addition_residual_small():
     tau = random_tau(2, 8)
     z = np.array([0.11, 0.07]) + 1j * np.array([0.03, -0.02])
-    for c in enumerate_characteristics(2, 2)[:4]:
-        assert addition_residual(tau, z, c) < 1e-10
+    for index in range(4):
+        assert addition_residual(tau, z, index) < 1e-10
+
+
+@pytest.mark.parametrize("index", [-1, 16, 2.0, np.int64(-3), np.uint64(16)])
+def test_addition_residual_refuses_an_index_outside_the_table(index):
+    # at g = 2 the level-2 indices are 0..15
+    with pytest.raises(ValueError, match=r"integer in \[0, 16\)"):
+        addition_residual(random_tau(2, 8), np.zeros(2), index)
 
 
 def test_fay_residual_small():
@@ -482,8 +486,7 @@ def test_residuals_over_all_columns_and_characteristics_are_the_max():
     tau = random_tau(2, 12)
     z = np.array([0.09, -0.04]) + 1j * np.array([0.02, 0.05])
     assert fay_relation_residual(tau, z) == max(fay_relation_residual(tau, z, c) for c in range(6))
-    chars = enumerate_characteristics(2, 2)
-    assert addition_residual(tau, z) == max(addition_residual(tau, z, c) for c in chars)
+    assert addition_residual(tau, z) == max(addition_residual(tau, z, i) for i in range(16))
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3)])
@@ -530,7 +533,7 @@ def test_qh_ranks_count_each_mu_column(monkeypatch):
         table = build(tau, n, tol)
         values = table.values.copy()
         values[0b1000] = 0
-        return ConstantTable(table.tau, n, table.chars, values, table.tail_bound)
+        return ConstantTable(table.tau, n, values, table.tail_bound)
 
     monkeypatch.setattr(theta_module, "constant_table", one_more_zero)
     prof = qh_rank_profile(random_tau(2, 0), 2)
