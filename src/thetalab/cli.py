@@ -4,12 +4,18 @@ All output is machine-readable JSON (sorted keys, so identical configs give
 byte-identical output); bound tables can also render as csv or a plain
 table.  Exit codes: 0 success, 2 usage/input error, 3 a theta constant in the
 undecidable magnitude band, 4 verification failure.
+
+``main(argv)`` can be called repeatedly in one process.  The argparse tree is
+built once, on the first call (never at import), and each call looks its
+handler up by command name (``export-matrix`` runs ``cmd_export_matrix``), so
+a ``cmd_*`` rebound after that first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -69,10 +75,25 @@ def _load_tau(path) -> PeriodMatrix:
 
 
 def _tolerance(text) -> float:
-    """A --tol value: a positive number (NaN and non-positive are refused)."""
-    if not float(text) > 0:
+    """A --tol value: a positive number (text, NaN and non-positive are refused)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a positive number, got {text}") from None
+    if not tol > 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
-    return float(text)
+    return tol
+
+
+def _seed(text) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:  # argparse's own wording for a type=int option
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return seed
 
 
 # one entry of the count --table list as json.dumps(sort_keys=True, indent=2)
@@ -224,7 +245,9 @@ def cmd_export_matrix(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process (on the first call)."""
     parser = argparse.ArgumentParser(
         prog="thetalab",
         description="torsion points on theta divisors: counts, exact matrix "
@@ -239,18 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--table", action="store_true", help="include the per-characteristic table")
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run the exact and analytic verification suite")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("h0", help="principal-submatrix rank search")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_h0)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("bounds", help="closed-form bound table, optionally vs a count")
     p.add_argument("--g", type=int, required=True)
@@ -260,30 +280,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-simple", action="store_true")
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("orbits", help="orbit partition of level-2 characteristics")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--tuples", type=int, choices=(1, 2), default=1)
     p.add_argument("--full", action="store_true", help="include the orbit elements")
-    p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("export-matrix", help="dump an exact matrix with labels as JSON")
     p.add_argument("--name", required=True, choices=("M", "Mplus", "Mminus", "N", "B", "L", "Bk"))
     p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_export_matrix)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # looked up at call time, not bound into the cached parser, so a handler
+    # rebound after the first call (a test's monkeypatch, a tracer) runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import thetalab
+import thetalab.cli as cli_module
 from thetalab.cli import _emit, main
 from thetalab.theta import PeriodMatrix, constant_table, count_torsion, random_tau
 
@@ -139,6 +140,20 @@ def test_non_positive_tol_exits_2_up_front(capsys, tau_file, command, tol):
     assert out == ""
     assert f"tolerance must be positive, got {tol}" in err
     assert "radius cap" not in err
+
+
+@pytest.mark.parametrize("command", [["count"], ["bounds", "--g", "2", "--n", "2"]])
+def test_non_numeric_tol_exits_2_up_front(capsys, tau_file, command):
+    code, out, err = run(capsys, *command, "--tau", tau_file, "--tol", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --tol: tolerance must be a positive number, got abc\n")
+
+
+@pytest.mark.parametrize("command", [["verify", "--g", "2"], ["h0", "--g", "3", "--budget", "5"]])
+def test_negative_seed_exits_2_naming_the_option(capsys, command):
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: seed must be a non-negative integer, got -1\n")
 
 
 def test_h0_g2_exhaustive(capsys):
@@ -507,6 +522,64 @@ def test_python_m_count_prints_what_main_prints(capsys, tau_file):
         [sys.executable, "-m", "thetalab", *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, want, "")
+
+
+def test_main_builds_the_parser_once():
+    # a fresh interpreter: the import builds no parser, and N main() calls
+    # build the root parser and its six subparsers once
+    src = str(Path(thetalab.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import thetalab.cli\n"
+        "counts = [len(built)]\n"
+        "argvs = [['--version'], ['orbits', '--g', '1'], ['frobnicate'], ['export-matrix', '--name', 'M', '--g', '1']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for i, argv in enumerate(argvs * 3):\n"
+        "        thetalab.cli.main(argv)\n"
+        "        if i == 0:\n"
+        "            counts.append(len(built))\n"
+        "print(counts + [len(built)])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 7, 7]\n", "")
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, tau_file):
+    # one in-process sequence mixing successes, usage errors, help and version
+    # prints and exits exactly as each argv does in a fresh `python -m thetalab`
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["count", "--tau", tau_file, "--n", "3"],
+        ["frobnicate"],
+        ["count", "--tau", tau_file, "--tol", "abc"],
+        ["--help"],
+        ["count", "--help"],
+        ["--version"],
+        ["verify", "--g", "2"],
+    ]
+    got = [run(capsys, *argv) for argv in argvs]
+    src = str(Path(thetalab.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, result in zip(argvs, got):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetalab", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
+
+
+def test_a_handler_rebound_after_the_first_call_runs(capsys, monkeypatch, tau_file):
+    assert run(capsys, "count", "--tau", tau_file)[0] == 0
+    calls = []
+    monkeypatch.setattr(cli_module, "cmd_count", lambda args: calls.append(args.n) or 5)
+    assert run(capsys, "count", "--tau", tau_file, "--n", "3") == (5, "", "")
+    assert calls == [3]
 
 
 def test_import_builds_no_table():
