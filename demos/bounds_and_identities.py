@@ -1,11 +1,8 @@
 """Closed-form bounds on Theta(n) and the analytic identities behind them.
 
-Compares computed counts against every applicable bound row, evaluates the
-addition-formula and quartic-relation residuals that certify the numerical
-theta engine, and prints the twisted-constant rank identity
-n^{2g} = sum_mu rank(T_mu) + Theta(n), which holds by construction: rank T_mu
-counts the nonvanishing theta[delta; mu], read from the same vanishing flags
-as Theta(n)."""
+Compares computed counts against every applicable bound row and evaluates
+the addition-formula and quartic-relation residuals that certify the
+numerical theta engine."""
 
 import numpy as np
 
@@ -16,7 +13,6 @@ from thetalab import (
     decomposable_bound,
     evaluate_bounds,
     fay_relation_residual,
-    qh_rank_profile,
     random_tau,
 )
 
@@ -40,12 +36,3 @@ worst_add = addition_residual(tau, z)
 worst_fay = fay_relation_residual(tau, z)
 print(f"worst addition-formula residual over all 16 characteristics: {worst_add:.3e}")
 print(f"worst quartic-relation residual over all 6 columns of N:     {worst_fay:.3e}")
-
-print()
-print("== twisted-constant rank identity ==")
-for g, n in ((1, 2), (2, 2), (2, 3)):
-    prof = qh_rank_profile(random_tau(g, 17), n)
-    print(
-        f"g={g}, n={n}: sum of ranks {sum(prof.ranks)} + Theta(n) {prof.theta_n} "
-        f"= {sum(prof.ranks) + prof.theta_n} = n^(2g) (defect {prof.defect})"
-    )

@@ -33,9 +33,10 @@ for g in (1, 2, 3):
 print()
 print("== the full constant table at g = 2 ==")
 table = constant_table(random_tau(2, 7), 2)
-for entry in table.to_json()["entries"]:
-    mark = "vanishes" if entry["vanishing"] else f"margin {entry['margin']:.3g}"
-    print(f"  theta[{entry['char']}] : {mark}")
+col = table.columns()
+for char, margin, vanishing in zip(col["char"], col["margin"], col["vanishing"]):
+    mark = "vanishes" if vanishing else f"margin {margin:.3g}"
+    print(f"  theta[{char}] : {mark}")
 
 print()
 print("== level 4: only the odd half-characteristics vanish generically ==")

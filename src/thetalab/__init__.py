@@ -8,7 +8,6 @@ from .bounds import (
     BoundRow,
     compare,
     decomposable_bound,
-    eigenspace_dims,
     evaluate_bounds,
 )
 from .characteristics import (
@@ -52,7 +51,6 @@ from .theta import (
     count_torsion,
     fay_relation_residual,
     m_count,
-    qh_rank_profile,
     random_tau,
     theta_table,
 )

@@ -179,13 +179,6 @@ def decomposable_bound(blocks, n: int) -> int:
     return int(val)
 
 
-def eigenspace_dims(g: int, n: int):
-    """(dim B_n^+, dim B_n^-) = (2^{g-1}(n^g + 1), 2^{g-1}(n^g - 1))."""
-    if g < 1 or n < 1:
-        raise ValueError("need g >= 1 and n >= 1")
-    return 2 ** (g - 1) * (n**g + 1), 2 ** (g - 1) * (n**g - 1)
-
-
 def compare(theta_n: int, rows):
     """Verdict per bound row for a computed torsion count."""
     verdicts = []

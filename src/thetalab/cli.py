@@ -3,7 +3,7 @@
 All output is machine-readable JSON (sorted keys, so identical configs give
 byte-identical output); bound tables can also render as csv or a plain
 table.  Exit codes: 0 success, 2 usage/input error, 3 a theta constant in the
-undecidable magnitude band, 4 verification failure.
+undecidable magnitude band or a tail bound above it, 4 verification failure.
 
 ``main(argv)`` can be called repeatedly in one process.  The argparse tree is
 built once, on the first call (never at import), and each call looks its
@@ -33,7 +33,6 @@ from .theta import (
     count_torsion,
     constant_table,
     fay_relation_residual,
-    qh_rank_profile,
     random_tau,
 )
 
@@ -75,13 +74,16 @@ def _load_tau(path) -> PeriodMatrix:
 
 
 def _tolerance(text) -> float:
-    """A --tol value: a positive number (text, NaN and non-positive are refused)."""
+    """A --tol value: a positive finite number (text, NaN, infinity and
+    non-positive values are refused)."""
     try:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be a positive number, got {text}") from None
     if not tol > 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    if tol == float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text}")
     return tol
 
 
@@ -172,14 +174,6 @@ def cmd_verify(args) -> int:
     )
     if not ok:
         raise VerificationError("addition formula residual above tolerance")
-
-    profile = qh_rank_profile(tau, 2)
-    ok = profile.defect == 0
-    claims.append(
-        {"claim": "rank-profile identity defect is zero", "pass": ok, "detail": f"defect {profile.defect}"}
-    )
-    if not ok:
-        raise VerificationError("rank-profile identity defect nonzero")
 
     _emit({"g": g, "seed": args.seed, "claims": claims, "all_pass": True}, "json")
     for item in claims:

@@ -19,7 +19,9 @@ from math import comb, prod
 
 import numpy as np
 
-from .characteristics import canonical_f2_order, characteristic_keys, enumerate_characteristics, kplus_positions
+from .characteristics import (
+    canonical_f2_order, characteristic_keys, count_parity, enumerate_characteristics, kplus_positions,
+)
 from .errors import VerificationError
 
 SIZE_CAP = 256
@@ -123,15 +125,13 @@ def build_M(g: int) -> np.ndarray:
 
 def split_blocks(m: np.ndarray):
     """Block views (M+, M-, N) of M = (M+, N; N^t, M-), split by parity."""
-    g = (len(m).bit_length() - 1) // 2
-    kp = 2 ** (g - 1) * (2**g + 1)
+    kp = count_parity((len(m).bit_length() - 1) // 2)[0]
     return m[:kp, :kp], m[kp:, kp:], m[:kp, kp:]
 
 
 def fay_multiplicities(g: int):
     """Closed-form eigenvalue multiplicities for M, M+ and M-."""
-    kp = 2 ** (g - 1) * (2**g + 1)
-    km = 2 ** (g - 1) * (2**g - 1)
+    kp, km = count_parity(g)
     return {
         "M": {2**g: kp, -(2**g): km},
         "M+": {

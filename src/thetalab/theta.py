@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import characteristic_keys, check_index, odd_mask, table_size
+from .characteristics import characteristic_keys, odd_mask, table_size
 from .errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from .matrices import build_M, split_blocks
 
@@ -163,6 +163,8 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     size = table_size(g, n)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite, got inf")
     z = np.asarray(z, dtype=complex)
     if z.shape != (g,):
         raise ValueError(f"dimensions differ: z has shape {z.shape}, tau has genus {g}")
@@ -267,8 +269,9 @@ class ConstantTable:
     certified is True when the exact product rule decides vanishing: level 2
     and exactly diagonal tau, where each constant is a product of genus-1
     constants and theta[a/2; b/2] of genus 1 vanishes iff ab = 1.  Otherwise
-    the threshold policy of classify_magnitudes decides.  A table with a
-    non-finite magnitude is refused.
+    the threshold policy of classify_magnitudes decides, once the tail bound
+    is below its vanishing threshold.  A table with a non-finite magnitude is
+    refused.
     """
 
     tau: PeriodMatrix
@@ -302,6 +305,13 @@ class ConstantTable:
                 index = np.arange(4**self.tau.g)
                 flags = ((index >> self.tau.g) & index) != 0
             else:
+                # an entry may be off by up to tail_bound, so below this the
+                # relative band cannot tell a vanishing constant from a small one
+                if self.tail_bound >= VANISH_REL * self.max_magnitude:
+                    raise AmbiguousVanishingError(
+                        f"tail bound {self.tail_bound:.3g} is not below {VANISH_REL:g} x "
+                        f"the largest magnitude {self.max_magnitude:.3g}"
+                    )
                 try:
                     flags = classify_magnitudes(self.magnitudes)
                 except AmbiguousVanishingError as exc:
@@ -325,16 +335,6 @@ class ConstantTable:
             "value_re": self.values.real.tolist(),
             "value_im": self.values.imag.tolist(),
             "vanishing": self.vanishing_flags().tolist(),
-        }
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "g": self.tau.g,
-            "entries": [
-                {"char": c, "value": [re, im], "magnitude": m, "margin": r, "vanishing": f}
-                for c, m, r, re, im, f in zip(*self.columns().values())
-            ],
         }
 
 
@@ -373,10 +373,15 @@ def count_torsion(
 ) -> TorsionCount:
     """Theta(n): number of vanishing level-n theta constants at tau.
 
-    Pass the table when it is already evaluated at (tau, n) to count from it.
+    Pass the table when it is already evaluated at (tau, n) to count from it;
+    ValueError if it was evaluated at another level or another tau.
     """
     if table is None:
         table = constant_table(tau, n, tol)
+    elif table.n != n:
+        raise ValueError(f"the table is of level {table.n}, not {n}")
+    elif table.tau is not tau and not np.array_equal(table.tau.mat, tau.mat):
+        raise ValueError("the table was evaluated at another tau")
     flags = table.vanishing_flags()
     margins = table.margins
     nonvan = margins[~flags]
@@ -398,27 +403,23 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     return int((~flags).sum())
 
 
-def addition_residual(
-    tau: PeriodMatrix, z, index: int = None, tol: float = DEFAULT_TOL
-) -> float:
-    """Normalized residual of the level-2 addition formula.
+def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
+    """Largest normalized residual of the level-2 addition formula
 
     theta[d;e](tau,0) theta[d;e](tau,2z)
       = sum_sigma (-1)^{<2e,2sigma>} theta[s;0](2tau,2z) theta[d+s;0](2tau,2z)
-    with sigma running over half-integer vectors, at the level-2 index of
-    [d; e] (ValueError outside [0, 4^g)).  With index None, the largest
-    residual over all 4^g half-integer characteristics; each of the three
-    tables is evaluated once for all of them.
+
+    over all 4^g half-integer characteristics [d; e], with sigma running over
+    half-integer vectors; each of the three tables is evaluated once.
     """
     g = tau.g
-    picked = range(4**g) if index is None else [int(check_index(g, index))]
     z = np.asarray(z, dtype=complex)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
     at2z = theta_table(tau, 2 * z, 2, tol).values.tolist()
     # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
     at2tau = theta_table(tau.scaled(2), 2 * z, 2, tol).values[:: 2**g].tolist()
     worst = 0.0
-    for i in picked:
+    for i in range(4**g):
         a, b = i >> g, i & (2**g - 1)
         lhs = at0[i] * at2z[i]
         rhs = 0j
@@ -429,62 +430,19 @@ def addition_residual(
     return worst
 
 
-def fay_relation_residual(
-    tau: PeriodMatrix, z, column: int = None, tol: float = DEFAULT_TOL
-) -> float:
-    """Residual of sum_m v_m theta_m(tau,0)^2 theta_m(tau,2z)^2 over K_g^+,
-    where v is the given column of the block N.  With column None, the
-    largest residual over all columns; both tables are evaluated once."""
+def fay_relation_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
+    """Largest residual of sum_m v_m theta_m(tau,0)^2 theta_m(tau,2z)^2 over
+    K_g^+, over all columns v of the block N; both tables are evaluated once."""
     g = tau.g
     z = np.asarray(z, dtype=complex)
     _, _, n = split_blocks(build_M(g))
-    if column is not None and not (0 <= column < n.shape[1]):
-        raise ValueError(f"column must be in [0, {n.shape[1]})")
     # the rows of N follow the canonical order of the even characteristics
     even = ~odd_mask(g)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values[even].tolist()
     at2z = theta_table(tau, 2 * z, 2, tol).values[even].tolist()
     quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
-    columns = n.T.tolist()
     worst = 0.0
-    for col in range(len(columns)) if column is None else [column]:
-        terms = [v * q for v, q in zip(columns[col], quartics)]
+    for column in n.T.tolist():
+        terms = [v * q for v, q in zip(column, quartics)]
         worst = max(worst, abs(sum(terms)) / (1 + max(abs(t) for t in terms)))
     return worst
-
-
-@dataclass
-class QHProfile:
-    """Per-coset ranks of the twisted constant matrices."""
-
-    n: int
-    g: int
-    ranks: list
-    theta_n: int
-    defect: int
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "g": self.g,
-            "ranks": self.ranks,
-            "rank_sum": sum(self.ranks),
-            "theta_n": self.theta_n,
-            "defect": self.defect,
-        }
-
-
-def qh_rank_profile(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> QHProfile:
-    """Ranks of T_mu[delta, eps] = exp(2 pi i n delta^t eps) theta[delta; mu](tau, 0)
-    for every mu, plus the identity defect n^{2g} - sum_mu rank - Theta(n),
-    which is zero by construction: both sides read the table's one vanishing
-    decision."""
-    g = tau.g
-    table = constant_table(tau, n, tol)
-    # T_mu = diag(theta[.; mu]) F with F the invertible character table of
-    # (Z/n)^g, so rank T_mu counts the nonvanishing theta[delta; mu].  Rows of
-    # the reshaped flags are delta = a/n, columns mu = b/n (a most significant).
-    ranks = (~table.vanishing_flags()).reshape(n**g, n**g).sum(axis=0).tolist()
-    theta_n = count_torsion(tau, n, table=table).count
-    defect = n ** (2 * g) - sum(ranks) - theta_n
-    return QHProfile(n=n, g=g, ranks=ranks, theta_n=theta_n, defect=defect)

@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the summary lines.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from thetalab.theta import (
     count_torsion,
     fay_relation_residual,
     m_count,
-    qh_rank_profile,
     random_tau,
 )
 
@@ -131,6 +131,7 @@ def test_05_exact_matrix_suite():
 
 
 def test_06_analytic_relation_suite():
+    # each call returns the largest residual over all characteristics or columns
     tol = 1e-8
     worst = 0.0
     count = 0
@@ -139,30 +140,39 @@ def test_06_analytic_relation_suite():
         for t in range(trials):
             tau = random_tau(g, 600 * g + t)
             z = rng.uniform(-0.3, 0.3, g) + 1j * rng.uniform(-0.1, 0.1, g)
-            index = int(rng.integers(4**g))
-            worst = max(worst, addition_residual(tau, z, index))
-            count += 1
+            worst = max(worst, addition_residual(tau, z))
+            count += 4**g
     for g in (1, 2):
         _, _, nblk = split_blocks(build_M(g))
         for t in range(20):
             rng = np.random.default_rng(660 + 20 * g + t)
             tau = random_tau(g, 660 + 20 * g + t)
             z = rng.uniform(-0.3, 0.3, g) + 1j * rng.uniform(-0.1, 0.1, g)
-            for col in range(nblk.shape[1]):
-                worst = max(worst, fay_relation_residual(tau, z, col))
+            worst = max(worst, fay_relation_residual(tau, z))
+            count += nblk.shape[1]
     report(
         "addition + Fay relation residuals < 1e-8",
         worst < tol,
-        f"worst {worst:.3e} over {count}+ evaluations",
+        f"worst {worst:.3e} over {count} residuals",
     )
 
 
 def test_07_qh_identity():
+    # n^{2g} = sum_mu rank T_mu + Theta(n), with T_mu = diag(theta[.; mu]) F
+    # and F the character table of (Z/n)^g; the ranks are SVD ranks
     ok = True
     for g, n in ((1, 2), (2, 2), (2, 3)):
-        prof = qh_rank_profile(random_tau(g, 700), n)
-        ok = ok and prof.defect == 0
-    report("Q_H rank identity defect 0 for (1,2),(2,2),(2,3) (holds by construction)", ok)
+        tau = random_tau(g, 700)
+        table = constant_table(tau, n)
+        vecs = list(np.ndindex(*(n,) * g))
+        f = np.exp(2j * math.pi / n * np.array([[np.dot(d, e) for e in vecs] for d in vecs]))
+        consts = table.values.reshape(len(vecs), len(vecs))
+        rank_sum = 0
+        for mu in range(len(vecs)):
+            sv = np.linalg.svd(consts[:, mu, None] * f, compute_uv=False)
+            rank_sum += int((sv > 1e-4 * sv[0]).sum())
+        ok = ok and n ** (2 * g) - rank_sum == count_torsion(tau, n, table=table).count
+    report("Q_H rank identity with SVD ranks for (1,2),(2,2),(2,3)", ok)
 
 
 def test_08_h0_genus2_exhaustive():

@@ -5,7 +5,6 @@ from thetalab.bounds import (
     any_theorem_violated,
     compare,
     decomposable_bound,
-    eigenspace_dims,
     evaluate_bounds,
 )
 
@@ -76,13 +75,6 @@ def test_theorem_ordering_invariant():
 def test_section_ratio_floored_flag():
     assert by_name(evaluate_bounds(3, 2))["section-ratio"].floored
     assert not by_name(evaluate_bounds(2, 2))["section-ratio"].floored
-
-
-def test_eigenspace_dims():
-    assert eigenspace_dims(2, 2) == (10, 6)
-    assert eigenspace_dims(1, 2) == (3, 1)
-    assert eigenspace_dims(2, 4) == (34, 30)
-    assert sum(eigenspace_dims(3, 3)) == 2**3 * 3**3
 
 
 def test_decomposable_bound():

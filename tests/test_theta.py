@@ -20,7 +20,6 @@ from thetalab.errors import AmbiguousVanishingError, RadiusCapError
 from thetalab.theta import (
     CHUNK_POINTS,
     MAX_BOX_POINTS,
-    ConstantTable,
     PeriodMatrix,
     _series_tail,
     addition_residual,
@@ -29,7 +28,6 @@ from thetalab.theta import (
     count_torsion,
     fay_relation_residual,
     m_count,
-    qh_rank_profile,
     random_tau,
     theta_table,
 )
@@ -180,6 +178,12 @@ def test_callers_of_theta_table_reject_wrong_genus(evaluate, shape):
 def test_theta_table_refuses_non_positive_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         theta_table(random_tau(2, 3), np.zeros(2), 2, tol)
+
+
+def test_theta_table_refuses_an_infinite_tolerance():
+    # an infinite tol would sum a radius-0 box whatever tau is
+    with pytest.raises(ValueError, match="tol must be finite, got inf"):
+        theta_table(random_tau(2, 0), np.zeros(2), 2, math.inf)
 
 
 @st.composite
@@ -400,12 +404,6 @@ def test_constant_table_g1():
     assert int(table.vanishing_flags().sum()) == 1
 
 
-def test_constant_table_json_names_characteristics():
-    blob = constant_table(random_tau(1, 2), 2).to_json()
-    assert len(blob["entries"]) == 4
-    assert all("char" in e and "vanishing" in e for e in blob["entries"])
-
-
 @pytest.mark.parametrize("g,expected", [(1, 1), (2, 6), (3, 28)])
 def test_generic_two_torsion_count(g, expected):
     res = count_torsion(random_tau(g, 0), 2)
@@ -414,7 +412,7 @@ def test_generic_two_torsion_count(g, expected):
 
 def test_product_two_torsion_counts():
     # diagonal tau = product of elliptic curves, Theta(2) = 4^g - 3^g
-    for g, expected in ((1, 1), (2, 7), (3, 37)):
+    for g, expected in ((1, 1), (2, 7), (3, 37), (4, 175)):
         tau = PeriodMatrix(np.diag([1.0j * (k + 1) for k in range(g)]))
         res = count_torsion(tau, 2)
         assert res.count == expected
@@ -464,51 +462,24 @@ def test_m_count_range_g2():
 def test_addition_residual_small():
     tau = random_tau(2, 8)
     z = np.array([0.11, 0.07]) + 1j * np.array([0.03, -0.02])
-    for index in range(4):
-        assert addition_residual(tau, z, index) < 1e-10
-
-
-@pytest.mark.parametrize("index", [-1, 16, 2.0, np.int64(-3), np.uint64(16)])
-def test_addition_residual_refuses_an_index_outside_the_table(index):
-    # at g = 2 the level-2 indices are 0..15
-    with pytest.raises(ValueError, match=r"integer in \[0, 16\)"):
-        addition_residual(random_tau(2, 8), np.zeros(2), index)
+    # the largest residual over all 16 characteristics
+    assert addition_residual(tau, z) < 1e-10
 
 
 def test_fay_residual_small():
     tau = random_tau(2, 12)
     z = np.array([0.09, -0.04]) + 1j * np.array([0.02, 0.05])
-    assert fay_relation_residual(tau, z, 0) < 1e-10
-    assert fay_relation_residual(tau, np.zeros(2), 0) < 1e-10
-
-
-def test_residuals_over_all_columns_and_characteristics_are_the_max():
-    tau = random_tau(2, 12)
-    z = np.array([0.09, -0.04]) + 1j * np.array([0.02, 0.05])
-    assert fay_relation_residual(tau, z) == max(fay_relation_residual(tau, z, c) for c in range(6))
-    assert addition_residual(tau, z) == max(addition_residual(tau, z, i) for i in range(16))
-
-
-@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3)])
-def test_qh_rank_defect_zero(g, n):
-    prof = qh_rank_profile(random_tau(g, 5), n)
-    assert prof.defect == 0
-    assert sum(prof.ranks) + prof.theta_n == n ** (2 * g)
-
-
-def test_qh_rank_profile_g4_diagonal():
-    # a product of four elliptic curves: theta[delta; mu] vanishes exactly
-    # when some factor's characteristic is odd, so 3^4 constants survive
-    tau = PeriodMatrix(np.diag([1j * (0.8 + 0.4 * k) for k in range(4)]))
-    prof = qh_rank_profile(tau, 2)
-    assert prof.defect == 0
-    assert sum(prof.ranks) == 3**4
+    assert fay_relation_residual(tau, z) < 1e-10
+    assert fay_relation_residual(tau, np.zeros(2)) < 1e-10
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2)])
 def test_qh_ranks_match_svd_oracle(g, n):
-    # independent oracle: SVD ranks of T_mu = diag(theta[.; mu]) F, with a
-    # clear gap between the zero and the nonzero singular values
+    # the twisted-constant rank identity n^{2g} = sum_mu rank T_mu + Theta(n),
+    # with the ranks from an independent oracle: SVD ranks of
+    # T_mu = diag(theta[.; mu]) F, F the character table of (Z/n)^g, with a
+    # clear gap between the zero and the nonzero singular values.  Each rank
+    # must count the nonvanishing flags of column mu (rows delta = a/n).
     for tau in (random_tau(g, 5), PeriodMatrix(np.diag([1j * (0.8 + 0.4 * k) for k in range(g)]))):
         table = constant_table(tau, n)
         vecs = list(np.ndindex(*(n,) * g))
@@ -520,25 +491,36 @@ def test_qh_ranks_match_svd_oracle(g, n):
             rel = sv / sv[0]
             assert not ((rel >= 1e-8) & (rel <= 1e-4)).any()
             ranks.append(int((rel > 1e-4).sum()))
-        assert qh_rank_profile(tau, n).ranks == ranks
+        nonvanishing = (~table.vanishing_flags()).reshape(len(vecs), len(vecs))
+        assert ranks == nonvanishing.sum(axis=0).tolist()
+        assert n ** (2 * g) - sum(ranks) == count_torsion(tau, n, table=table).count
 
 
-def test_qh_ranks_count_each_mu_column(monkeypatch):
-    # zeroing theta[(1,0)/2; 0] makes the vanishing pattern asymmetric in (a, b),
-    # so a rank per delta row instead of per mu column would show
-    theta_module = importlib.import_module("thetalab.theta")
-    build = theta_module.constant_table
+def test_a_tail_bound_above_the_band_is_undecidable():
+    # at tol = 10 the radius-0 box leaves a tail of 5.3 against a largest
+    # magnitude of 1.0, so no relative threshold can tell what vanishes:
+    # summed at radius 0, none of the six odd constants (Theta(2) = 6) is
+    # below 1e-6 of the largest, and the band would count 0
+    table = constant_table(random_tau(2, 0), 2, 10.0)
+    assert table.tail_bound >= 1e-6 * table.max_magnitude
+    both = f"tail bound {table.tail_bound:.3g} .* largest magnitude {table.max_magnitude:.3g}"
+    with pytest.raises(AmbiguousVanishingError, match=both):
+        table.vanishing_flags()
+    with pytest.raises(AmbiguousVanishingError):
+        count_torsion(table.tau, 2, table=table)
 
-    def one_more_zero(tau, n, tol):
-        table = build(tau, n, tol)
-        values = table.values.copy()
-        values[0b1000] = 0
-        return ConstantTable(table.tau, n, values, table.tail_bound)
 
-    monkeypatch.setattr(theta_module, "constant_table", one_more_zero)
-    prof = qh_rank_profile(random_tau(2, 0), 2)
-    assert prof.ranks == [3, 2, 2, 2]
-    assert (prof.theta_n, prof.defect) == (7, 0)
+def test_count_torsion_refuses_a_table_of_another_level_or_tau():
+    tau = random_tau(2, 0)
+    table = constant_table(tau, 2)
+    with pytest.raises(ValueError, match="of level 2, not 3"):
+        count_torsion(tau, 3, table=table)
+    with pytest.raises(ValueError, match="another tau"):
+        count_torsion(random_tau(3, 0), 2, table=table)
+    with pytest.raises(ValueError, match="another tau"):
+        count_torsion(random_tau(2, 1), 2, table=table)
+    # the same matrix in another PeriodMatrix is the same tau
+    assert count_torsion(PeriodMatrix(tau.mat), 2, table=table).count == 6
 
 
 def test_vanishing_flags_decided_once_and_read_only():
@@ -547,11 +529,6 @@ def test_vanishing_flags_decided_once_and_read_only():
     assert table.vanishing_flags() is flags
     with pytest.raises(ValueError):
         flags[0] = not flags[0]
-
-
-def test_qh_rank_profile_rejects_oversized_table():
-    with pytest.raises(ValueError, match="exceed the cap"):
-        qh_rank_profile(random_tau(3, 5), 40)
 
 
 def test_random_tau_deterministic():
