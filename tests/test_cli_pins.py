@@ -1,7 +1,7 @@
 """Pinned integer and string outputs of the CLI.
 
 cli_pins.json holds, for each invocation in INVOCATIONS, the part of its
-stdout that holds no float: export-matrix and orbits --full whole; the name
+stdout that holds no float: export-matrix, orbits --full and h0 whole; the name
 and pass of each verify claim; and theta_n, certified, the char keys and the
 indices of the vanishing entries of count --table.  A text longer than
 TEXT_LIMIT characters is pinned by its sha256.  Floats are left out, so that
@@ -42,6 +42,7 @@ INVOCATIONS = (
     + [f"verify --g {g}" for g in (1, 2, 3)]
     + [f"count --tau {kind}{g} --n {n} --table" for g, n in COUNTS for kind in TAUS]
     + ["count --tau diagonal2 --n 12 --table"]
+    + ["h0 --g 2", "h0 --g 3 --budget 2000 --seed 1", "h0 --g 3 --budget 4000 --seed 7"]
 )
 
 
