@@ -39,7 +39,6 @@ from .search import (
     SearchReport,
     h0_exhaustive,
     h0_probe,
-    principal_rank,
 )
 from .theta import (
     ConstantTable,

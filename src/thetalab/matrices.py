@@ -5,11 +5,12 @@ parity of the indexing characteristics; all spectral and rank claims about
 those blocks are checked with exact integer arithmetic, never with
 floating-point eigensolvers: every multiplicity by an annihilating polynomial
 (`spectrum`), every rank by an entrywise identity such as B = N N^t =
-2^(g-1)(2^g I - M+).  Bareiss `exact_rank` serves the search's submatrices.
+2^(g-1)(2^g I - M+).  `exact_rank`, batched elimination mod as many primes
+as the Hadamard bound needs, serves the search's submatrices.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
-inside int64; Bareiss ranks are taken on python ints.
+inside int64.
 """
 
 from __future__ import annotations
@@ -40,37 +41,71 @@ def _require_entrywise(got, want, identity: str):
         raise VerificationError(f"{identity} fails at entry ({i},{j})")
 
 
-def exact_rank(mat) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination of an
-    integer matrix given as rows.  Intermediate values are minors of the
-    input, so python's arbitrary-precision ints keep everything exact.
+# The largest primes below 2^31, largest first: residues multiply inside int64.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+    2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
+)
+
+
+def batched_rank_mod_p(mats, p: int) -> np.ndarray:
+    """Rank mod the prime p < 2^31 of a batch of integer matrices, shape (B, k, c).
+
+    Division-free column elimination, one row at a time across the batch:
+    the pivot is the first column with a nonzero entry in the row, and every
+    column's remaining rows become pivval*column - entry*pivot_column.  That
+    scales the other columns by a nonzero residue, clears the row and zeroes
+    the pivot column itself, so no swaps are needed; a matrix without a
+    pivot in the row takes pivval = 1 and is left as it was.  Going by rows
+    keeps the updated block contiguous.  The rank over F_p does not depend
+    on pivot order and is always a lower bound on the rational rank.
     """
-    rows = mat.tolist() if isinstance(mat, np.ndarray) else mat
-    m = [[int(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        mp = m[rank]
-        for r in range(rank + 1, nrows):
-            mr = m[r]
-            f = mr[col]
-            for c in range(col, ncols):
-                q, rem = divmod(p * mr[c] - f * mp[c], prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division not exact")
-                mr[c] = q
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    a = np.ascontiguousarray(mats % p, dtype=np.int64)
+    nb, k, _ = a.shape
+    ranks = np.zeros(nb, dtype=np.int64)
+    batch = np.arange(nb)
+    for row in range(k):
+        entry = a[:, row, :]
+        nonzero = entry != 0
+        have = nonzero.any(axis=1)
+        piv = nonzero.argmax(axis=1)
+        pivval = np.where(have, entry[batch, piv], 1)
+        pivcol = a[batch, row + 1 :, piv]
+        rest = a[:, row + 1 :, :]
+        rest *= pivval[:, None, None]
+        rest -= pivcol[:, :, None] * entry[:, None, :]
+        rest %= p
+        ranks += have
+    return ranks
+
+
+def exact_rank(mats):
+    """Rank over the rationals of one integer matrix (an int) or of a batch
+    of shape (B, k, c) (an int64 array), entries within int64.
+
+    Every minor is at most h^min(k, c) in absolute value (Hadamard), h the
+    largest row norm, taken exactly.  A nonzero minor below the product of
+    the primes used cannot be divisible by all of them, so the largest rank
+    mod the first primes of PRIMES whose product exceeds that bound is the
+    rational rank.  ValueError is raised before any elimination when all of
+    PRIMES fall short.
+    """
+    a = np.asarray(mats, dtype=np.int64)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    top = int(np.abs(a).max(initial=0))
+    # squares and their row sums stay exact in int64 unless c * top^2 reaches 2^63
+    wide = a if a.shape[2] * top * top < 2**63 else a.astype(object)
+    bound2 = int((wide * wide).sum(axis=2).max(initial=0)) ** min(a.shape[1:])
+    used, modulus = 1, PRIMES[0]
+    while modulus * modulus <= bound2:
+        if used == len(PRIMES):
+            raise ValueError("exact_rank: the Hadamard bound exceeds the product of PRIMES")
+        modulus *= PRIMES[used]
+        used += 1
+    ranks = np.maximum.reduce([batched_rank_mod_p(a, p) for p in PRIMES[:used]])
+    return int(ranks[0]) if single else ranks
 
 
 def _product(mats, n: int) -> np.ndarray:

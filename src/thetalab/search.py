@@ -1,8 +1,8 @@
 """Principal-submatrix rank search on B = N N^t.
 
 The target quantity is the smallest order k admitting a principal submatrix
-S with rank(S) <= k - 2^g.  At g = 2 the 2^10 masks are scanned exhaustively
-with exact integer ranks.  At g = 3 the strictly-even submatrix gives a
+S with rank(S) <= k - 2^g.  At g = 2 the 2^10 masks are scanned exhaustively,
+one batch of exact ranks per order.  At g = 3 the strictly-even submatrix gives a
 certified witness of order 27 and rank 19, the rank proved without
 elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum
 certificate of L; orders <= 7 are certified infeasible by strict diagonal dominance;
@@ -10,21 +10,22 @@ the remaining orders are probed by seeded randomized search.  The probe
 screens whole batches of candidates with one batched elimination mod the
 prime 2^31 - 1 (a lower bound on the rational rank, so no true witness can
 be screened out) and confirms a candidate whose screened slack is <= 0 with
-Bareiss elimination over the integers; floating point is never involved.
+`exact_rank`; floating point is never involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
 from .characteristics import generator_permutations, kplus_positions, odd_mask
 from .errors import VerificationError
-from .matrices import build_B, build_Bk, exact_rank
+from .matrices import PRIMES, batched_rank_mod_p, build_B, build_Bk, exact_rank
 
-MOD_P = 2147483647  # 2^31 - 1; products of residues stay inside int64
+MOD_P = PRIMES[0]  # 2^31 - 1
 
 
 @dataclass
@@ -61,42 +62,29 @@ class SearchReport:
         }
 
 
-def principal_rank(b, mask) -> int:
-    """Exact rank of the principal submatrix selected by the mask."""
-    idx = tuple(sorted(mask))
-    if not idx:
-        return 0
-    return exact_rank([[b[i][j] for j in idx] for i in idx])
-
-
 def h0_exhaustive(g: int = 2) -> SearchReport:
-    """Scan every principal submatrix of B at g = 2 with exact ranks."""
+    """Scan every principal submatrix of B at g = 2, one batch of exact
+    ranks per order."""
     if g != 2:
         raise ValueError("exhaustive scan supported at g = 2 only")
-    # python lists: indexing them in the mask loop is cheaper than numpy's
-    b = build_B(g).tolist()
+    b = build_B(g)
     kp = len(b)
     need = 2**g
     report = SearchReport(g=g, exhaustive=True, strategy="exhaustive-bitmask-scan")
     min_rank = {}
     witnesses = []
-    h0 = None
-    for bits in range(1, 1 << kp):
-        idx = tuple(i for i in range(kp) if bits >> i & 1)
-        k = len(idx)
-        r = principal_rank(b, idx)
-        if k not in min_rank or r < min_rank[k]:
-            min_rank[k] = r
-        if r <= k - need:
-            if h0 is None or k < h0:
-                h0 = k
-                witnesses = [idx]
-            elif k == h0:
-                witnesses.append(idx)
+    for k in range(1, kp + 1):
+        masks = list(combinations(range(kp), k))
+        idx = np.array(masks)
+        ranks = exact_rank(b[idx[:, :, None], idx[:, None, :]])
+        min_rank[k] = int(ranks.min())
+        if not witnesses:
+            witnesses = [mask for mask, r in zip(masks, ranks.tolist()) if r <= k - need]
+    h0 = len(witnesses[0]) if witnesses else None
     report.min_rank_by_order = min_rank
     report.h0 = h0
     report.h0_upper = h0
-    report.witnesses = sorted(witnesses)
+    report.witnesses = witnesses
 
     # B = N N^t is a Gram matrix, so a principal submatrix of full rank is
     # positive definite; the exact scan shows every one of order <= 2^g - 1
@@ -113,37 +101,6 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
         "hence are positive definite (B = N N^t is a Gram matrix)"
     )
     return report
-
-
-def batched_rank_mod_p(mats: np.ndarray) -> np.ndarray:
-    """Rank mod 2^31 - 1 of a batch of integer matrices, shape (B, k, k).
-
-    Division-free column elimination, one row at a time across the batch:
-    the pivot is the first column with a nonzero entry in the row, and every
-    column's remaining rows become pivval*column - entry*pivot_column.  That
-    scales the other columns by a nonzero residue, clears the row and zeroes
-    the pivot column itself, so no swaps are needed; a matrix without a
-    pivot in the row takes pivval = 1 and is left as it was.  Going by rows
-    keeps the updated block contiguous.  The rank over F_p does not depend
-    on pivot order and is always a lower bound on the rational rank.
-    """
-    a = np.ascontiguousarray(mats % MOD_P, dtype=np.int64)
-    nb, k, _ = a.shape
-    ranks = np.zeros(nb, dtype=np.int64)
-    batch = np.arange(nb)
-    for row in range(k):
-        entry = a[:, row, :]
-        nonzero = entry != 0
-        have = nonzero.any(axis=1)
-        piv = nonzero.argmax(axis=1)
-        pivval = np.where(have, entry[batch, piv], 1)
-        pivcol = a[batch, row + 1 :, piv]
-        rest = a[:, row + 1 :, :]
-        rest *= pivval[:, None, None]
-        rest -= pivcol[:, :, None] * entry[:, None, :]
-        rest %= MOD_P
-        ranks += have
-    return ranks
 
 
 @cache
@@ -231,14 +188,14 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
         k = len(masks[0])
         idx = np.array(masks, dtype=np.int64)
         mats = b[idx[:, :, None], idx[:, None, :]]
-        ranks = batched_rank_mod_p(mats)
+        ranks = batched_rank_mod_p(mats, MOD_P)
         used += len(masks)
         for mask, r in zip(masks, ranks.tolist()):
             slack = r - (k - need)
             if k not in best or slack < best[k][0] or (slack == best[k][0] and mask < best[k][1]):
                 best[k] = (slack, mask)
             if slack <= 0:
-                confirm = principal_rank(b, mask)
+                confirm = exact_rank(b[np.ix_(mask, mask)])
                 if confirm <= k - need:
                     report.counterexample_found = True
                     report.witnesses.append(tuple(mask))

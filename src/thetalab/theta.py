@@ -241,16 +241,23 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     return ThetaValues(values, float(tail * scale), radius)
 
 
-def classify_magnitudes(mags):
+def classify_magnitudes(mags, tail_bound):
     """Vanishing flags for a family of magnitudes under the threshold policy.
 
     vanishing if < 1e-6 * max, nonvanishing if > 1e-3 * max; anything in the
-    band raises AmbiguousVanishingError listing the offending indices.
+    band raises AmbiguousVanishingError listing the offending indices.  Each
+    magnitude may be off by up to tail_bound, so unless that is below 1e-6 *
+    max the band cannot tell a vanishing value from a small one, and
+    AmbiguousVanishingError, with no offenders, is raised as well.
     """
     mags = np.asarray(mags, dtype=float)
     top = float(mags.max()) if mags.size else 0.0
     if top <= 0:
         raise ThetaLabError("all magnitudes vanish; cannot normalize the table")
+    if tail_bound >= VANISH_REL * top:
+        raise AmbiguousVanishingError(
+            f"tail bound {tail_bound:.3g} is not below {VANISH_REL:g} x the largest magnitude {top:.3g}"
+        )
     rel = mags / top
     band = np.nonzero((rel >= VANISH_REL) & (rel <= NONVANISH_REL))[0]
     if band.size:
@@ -305,16 +312,11 @@ class ConstantTable:
                 index = np.arange(4**self.tau.g)
                 flags = ((index >> self.tau.g) & index) != 0
             else:
-                # an entry may be off by up to tail_bound, so below this the
-                # relative band cannot tell a vanishing constant from a small one
-                if self.tail_bound >= VANISH_REL * self.max_magnitude:
-                    raise AmbiguousVanishingError(
-                        f"tail bound {self.tail_bound:.3g} is not below {VANISH_REL:g} x "
-                        f"the largest magnitude {self.max_magnitude:.3g}"
-                    )
                 try:
-                    flags = classify_magnitudes(self.magnitudes)
+                    flags = classify_magnitudes(self.magnitudes, self.tail_bound)
                 except AmbiguousVanishingError as exc:
+                    if not exc.offenders:
+                        raise
                     names = [characteristic_keys(self.tau.g, self.n)[i] for i in exc.offenders]
                     raise AmbiguousVanishingError(
                         f"undecidable theta constants at characteristics {names}",
@@ -399,7 +401,8 @@ def count_torsion(
 def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
     y = np.asarray(y, dtype=complex)
-    flags = classify_magnitudes(np.abs(theta_table(tau, 2 * y, 2, tol).values))
+    table = theta_table(tau, 2 * y, 2, tol)
+    flags = classify_magnitudes(np.abs(table.values), table.tail_bound)
     return int((~flags).sum())
 
 

@@ -21,7 +21,7 @@ from thetalab.matrices import (
     split_blocks,
     verify_fay_spectrum,
 )
-from thetalab.search import h0_exhaustive, h0_probe, principal_rank
+from thetalab.search import h0_exhaustive, h0_probe
 from thetalab.theta import (
     PeriodMatrix,
     addition_residual,
@@ -63,7 +63,7 @@ def test_01_product_extremal_count():
                 and res.count == want
                 and res.certified
                 and np.array_equal(table.vanishing_flags(), rule)
-                and np.array_equal(classify_magnitudes(table.magnitudes), rule)
+                and np.array_equal(classify_magnitudes(table.magnitudes, table.tail_bound), rule)
             )
     report("product extremal count 1/7/37, certified + numeric agree", ok)
 
@@ -122,7 +122,7 @@ def test_05_exact_matrix_suite():
 
         l = build_L(g)
         for k in range(g + 1):
-            # Bareiss oracle: multiplicity as the nullity of L - lambda I
+            # exact_rank oracle: multiplicity as the nullity of L - lambda I
             shifted = l - (-1) ** k * 2 ** (g - k) * np.eye(3**g, dtype=np.int64)
             ok = ok and 3**g - exact_rank(shifted) == comb(g, k) * 2 ** (g - k)
         bk, _ = build_Bk(g)
@@ -190,10 +190,11 @@ def test_09_h0_genus3_probe():
     rep = h0_probe(3, budget=1_000_000, seed=42)
     b = build_B(3)
     _, sel = build_Bk(3)
+    w = rep.witnesses[0]
     witness_ok = (
         rep.h0_upper == 27
-        and tuple(sorted(rep.witnesses[0])) == tuple(sorted(sel))
-        and principal_rank(b, rep.witnesses[0]) == 19
+        and tuple(sorted(w)) == tuple(sorted(sel))
+        and exact_rank(b[np.ix_(w, w)]) == 19
     )
     ok = witness_ok and rep.budget_used == 1_000_000
     detail = (

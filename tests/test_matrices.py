@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from thetalab.characteristics import canonical_f2_order
 from thetalab.errors import VerificationError
+from thetalab import matrices
 from thetalab.matrices import (
+    PRIMES,
     TRIPLE,
     _require_entrywise,
+    batched_rank_mod_p,
     bk_selection,
     build_B,
     build_Bk,
@@ -31,7 +34,7 @@ def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
 
 
 def eigen_multiplicity(mat, lam):
-    """Bareiss oracle: geometric multiplicity as the nullity of A - lam I."""
+    """exact_rank oracle: geometric multiplicity as the nullity of A - lam I."""
     mat = np.asarray(mat, dtype=np.int64)
     return len(mat) - exact_rank(mat - lam * np.eye(len(mat), dtype=np.int64))
 
@@ -50,6 +53,45 @@ def test_exact_rank_against_sympy():
 
 def test_exact_rank_zero_matrix():
     assert exact_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_primes_are_distinct_primes_below_2_31():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(p) and p < 2**31 for p in PRIMES)
+    assert len(set(PRIMES)) == len(PRIMES)
+
+
+def test_exact_rank_does_not_trust_one_prime_past_its_bound():
+    # the determinant is exactly 2^31 - 1 = PRIMES[0]
+    mat = np.array([[46341, 2], [2317, 46341]])
+    assert exact_rank(mat) == 2
+    assert batched_rank_mod_p(mat[None], 2**31 - 1).tolist() == [1]
+
+
+def test_exact_rank_bounds_entries_past_int64_squares_exactly():
+    # det = PRIMES[0] PRIMES[1] PRIMES[2]; a^2 = 2^94 wraps to 0 in int64
+    det = PRIMES[0] * PRIMES[1] * PRIMES[2]
+    a = 2**47
+    d = -(-det // a)
+    mat = np.array([[a, a * d - det], [1, d]])
+    assert exact_rank(mat) == 2
+    assert [batched_rank_mod_p(mat[None], p)[0] for p in PRIMES[:3]] == [1, 1, 1]
+
+
+def test_exact_rank_single_and_batch():
+    rank = exact_rank([[1, 2], [2, 4]])
+    assert type(rank) is int and rank == 1
+    ranks = exact_rank(np.array([[[1, 2], [2, 4]], [[1, 2], [3, 4]]]))
+    assert ranks.dtype == np.int64 and ranks.tolist() == [1, 2]
+
+
+def test_exact_rank_refuses_bound_beyond_primes(monkeypatch):
+    def no_elimination(mats, p):
+        raise AssertionError("eliminated before checking the bound")
+
+    monkeypatch.setattr(matrices, "batched_rank_mod_p", no_elimination)
+    with pytest.raises(ValueError, match="Hadamard bound"):
+        exact_rank(np.full((64, 64), 2**23))
 
 
 def test_eigen_multiplicity_diag():

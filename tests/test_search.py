@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -7,21 +8,17 @@ from hypothesis.extra.numpy import arrays
 from thetalab.errors import VerificationError
 from thetalab.matrices import build_B, build_Bk, exact_rank
 from thetalab.search import (
-    batched_rank_mod_p,
     canonicalize_mask,
     _perm_action_on_kplus,
     h0_exhaustive,
     h0_probe,
-    principal_rank,
 )
 
 
-def test_principal_rank_matches_exact():
-    b = build_B(2)
-    mask = (0, 2, 5, 7, 9)
-    sub = b[np.ix_(mask, mask)]
-    assert principal_rank(b, mask) == exact_rank(sub)
-    assert principal_rank(b.tolist(), mask) == exact_rank(sub.tolist())
+def sympy_ranks(mats):
+    # sympy's exact rank over the rationals; Matrix.rank's own elimination
+    # takes about a minute on a singular 27 x 27 submatrix of B
+    return [sympy.Matrix(m.tolist()).to_DM().rank() for m in mats]
 
 
 def test_batched_rank_matches_exact_on_B_submatrices():
@@ -30,8 +27,8 @@ def test_batched_rank_matches_exact_on_B_submatrices():
     for _ in range(30):
         k = int(rng.integers(2, 28))
         idx = rng.choice(36, size=k, replace=False)
-        sub = b[np.ix_(idx, idx)]
-        assert batched_rank_mod_p(sub[None])[0] == exact_rank(sub.tolist())
+        sub = b[np.ix_(idx, idx)][None]
+        assert exact_rank(sub).tolist() == sympy_ranks(sub)
 
 
 def test_batched_rank_handles_singular_batches():
@@ -39,9 +36,7 @@ def test_batched_rank_handles_singular_batches():
     mats = rng.integers(-4, 5, size=(20, 9, 9))
     mats[::2, 4] = mats[::2, 1] + mats[::2, 2]
     mats[5] = 0
-    got = batched_rank_mod_p(mats)
-    want = [exact_rank(m.tolist()) for m in mats]
-    assert got.tolist() == want
+    assert exact_rank(mats).tolist() == sympy_ranks(mats)
 
 
 @st.composite
@@ -49,9 +44,7 @@ def mixed_batches(draw):
     """One batch of k x k matrices, k <= 6 and |entries| <= 4, holding a
     full-rank matrix, one with a row summed from two others, one with
     zeroed columns and an all-zero matrix: the cases where matrices of one
-    batch run out of pivots at different steps of the elimination.  A sum of two rows stays
-    within 8, so by Hadamard every minor is below (8 sqrt 6)^6 < 5.7e7 < p
-    and the rank mod p is exactly the rational rank."""
+    batch run out of pivots at different steps of the elimination."""
     k = draw(st.integers(3, 6))
     size = draw(st.integers(4, 10))
     mats = draw(arrays(np.int64, (size, k, k), elements=st.integers(-4, 4)))
@@ -68,7 +61,7 @@ def mixed_batches(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(mixed_batches())
 def test_batched_rank_matches_exact_on_mixed_batches(mats):
-    assert batched_rank_mod_p(mats).tolist() == [exact_rank(m) for m in mats]
+    assert exact_rank(mats).tolist() == sympy_ranks(mats)
 
 
 WITNESS_G3 = [
@@ -134,7 +127,7 @@ def test_h0_exhaustive_g2():
     b = build_B(2)
     for w in report.witnesses:
         assert len(w) == 9
-        assert principal_rank(b, w) <= 5
+        assert exact_rank(b[np.ix_(w, w)]) <= 5
     _, sel = build_Bk(2)
     assert tuple(sorted(sel)) in {tuple(sorted(w)) for w in report.witnesses}
 
@@ -154,7 +147,8 @@ def test_h0_probe_certificates_and_determinism():
     assert r1.to_json() == r2.to_json()
     # the certified witness is the strictly-even selection, exact rank 19
     b = build_B(3)
-    assert principal_rank(b, r1.witnesses[0]) == 19
+    w = r1.witnesses[0]
+    assert exact_rank(b[np.ix_(w, w)]) == 19
 
 
 def test_h0_probe_seed_changes_trajectory():

@@ -388,13 +388,13 @@ def test_odd_constant_vanishes():
 
 
 def test_classify_magnitudes_clear_split():
-    flags = classify_magnitudes([1.0, 0.9, 1e-9, 0.0])
+    flags = classify_magnitudes([1.0, 0.9, 1e-9, 0.0], 0.0)
     assert flags.tolist() == [False, False, True, True]
 
 
 def test_classify_magnitudes_ambiguous_band_raises():
     with pytest.raises(AmbiguousVanishingError) as info:
-        classify_magnitudes([1.0, 1e-5])
+        classify_magnitudes([1.0, 1e-5], 0.0)
     assert 1 in info.value.offenders
 
 
@@ -432,10 +432,11 @@ def test_product_count_factorizes():
     # tables report at level 2 on diagonal tau
     flags = []
     for t in (np.array([[1.3j]]), np.array([[0.2 + 1.7j]])):
-        flags.append(classify_magnitudes(constant_table(PeriodMatrix(t), 2).magnitudes))
+        table = constant_table(PeriodMatrix(t), 2)
+        flags.append(classify_magnitudes(table.magnitudes, table.tail_bound))
     joint = constant_table(PeriodMatrix(np.diag([1.3j, 0.2 + 1.7j])), 2)
     assert joint.certified
-    numeric = classify_magnitudes(joint.magnitudes)
+    numeric = classify_magnitudes(joint.magnitudes, joint.tail_bound)
     assert np.array_equal(numeric, joint.vanishing_flags())
     # vanishing on the product is the "or" of factor vanishings
     for (a, b), f in zip(halves(2, 2), numeric):
@@ -508,6 +509,12 @@ def test_a_tail_bound_above_the_band_is_undecidable():
         table.vanishing_flags()
     with pytest.raises(AmbiguousVanishingError):
         count_torsion(table.tau, 2, table=table)
+
+
+def test_m_count_refuses_a_tail_bound_above_the_band():
+    # the same radius-0 box as above: m_count shares the table's guard
+    with pytest.raises(AmbiguousVanishingError, match="tail bound"):
+        m_count(random_tau(2, 0), np.zeros(2), tol=10.0)
 
 
 def test_count_torsion_refuses_a_table_of_another_level_or_tau():
