@@ -43,6 +43,7 @@ INVOCATIONS = (
     + [f"count --tau {kind}{g} --n {n} --table" for g, n in COUNTS for kind in TAUS]
     + ["count --tau diagonal2 --n 12 --table"]
     + ["h0 --g 2", "h0 --g 3 --budget 2000 --seed 1", "h0 --g 3 --budget 4000 --seed 7"]
+    + ["h0 --g 3 --budget 20000 --seed 3"]
 )
 
 
