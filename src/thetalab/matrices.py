@@ -6,7 +6,8 @@ those blocks are checked with exact integer arithmetic, never with
 floating-point eigensolvers: every multiplicity by an annihilating polynomial
 (`spectrum`), every rank by an entrywise identity such as B = N N^t =
 2^(g-1)(2^g I - M+).  `exact_rank`, batched elimination mod as many primes
-as the Hadamard bound needs, serves the search's submatrices.
+as the Hadamard bound needs, serves the search's submatrices, and
+`build_kernel_basis` gives the search a certified integer basis of ker B.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
@@ -57,10 +58,17 @@ def batched_rank_mod_p(mats, p: int) -> np.ndarray:
     scales the other columns by a nonzero residue, clears the row and zeroes
     the pivot column itself, so no swaps are needed; a matrix without a
     pivot in the row takes pivval = 1 and is left as it was.  Going by rows
-    keeps the updated block contiguous.  The rank over F_p does not depend
-    on pivot order and is always a lower bound on the rational rank.
+    keeps the updated block contiguous.  A batch with more rows than columns
+    is eliminated transposed, so the loop runs along the shorter side.
+    Residues are reduced as x - (x // p) p, the floor residue that x % p
+    gives, by numpy's faster division by a scalar.  The rank over F_p does
+    not depend on pivot order and is always a lower bound on the rational
+    rank.
     """
-    a = np.ascontiguousarray(mats % p, dtype=np.int64)
+    a = np.asarray(mats)
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a % p, dtype=np.int64)
     nb, k, _ = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
     batch = np.arange(nb)
@@ -74,7 +82,7 @@ def batched_rank_mod_p(mats, p: int) -> np.ndarray:
         rest = a[:, row + 1 :, :]
         rest *= pivval[:, None, None]
         rest -= pivcol[:, :, None] * entry[:, None, :]
-        rest %= p
+        rest -= rest // p * p
         ranks += have
     return ranks
 
@@ -87,10 +95,13 @@ def exact_rank(mats):
     largest row norm, taken exactly.  A nonzero minor below the product of
     the primes used cannot be divisible by all of them, so the largest rank
     mod the first primes of PRIMES whose product exceeds that bound is the
-    rational rank.  ValueError is raised before any elimination when all of
-    PRIMES fall short.
+    rational rank.  ValueError is raised before any elimination for entries
+    that are not integers within int64, and when all of PRIMES fall short.
     """
-    a = np.asarray(mats, dtype=np.int64)
+    a = np.asarray(mats)
+    if a.dtype.kind not in "biu" or (a.dtype.kind == "u" and a.max(initial=0) > np.iinfo(np.int64).max):
+        raise ValueError(f"exact_rank: entries must be integers within int64, got {a.dtype}")
+    a = a.astype(np.int64, copy=False)
     single = a.ndim == 2
     if single:
         a = a[None]
@@ -242,6 +253,35 @@ def build_B(g: int) -> np.ndarray:
     want = 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp)
     _require_entrywise(b, want, f"B = 2^(g-1)(2^g I - M+) for g={g}")
     return _frozen(b)
+
+
+@cache
+def build_kernel_basis(g: int) -> np.ndarray:
+    """Integer basis G of ker B, shape (|K+|, d) with d = |K+| - (4^g - 1)/3:
+    the leftmost d independent columns of Q = M+ + 2^(g-1) I, entries of at
+    most 2^(g-1) + 1.
+
+    B + 2^(g-1) Q = 3 * 4^(g-1) I, so Q is the 2^g-eigenprojector of M+ up
+    to a scalar.  The certificate, else VerificationError: B G = 0 entrywise
+    and exact_rank(G) = d put d independent vectors in ker B, and a rank of
+    B mod PRIMES[0] of at least (4^g - 1)/3 (a lower bound on its rational
+    rank) leaves ker B no room for more.
+    """
+    b = build_B(g)
+    mp = split_blocks(build_M(g))[0]
+    size = len(mp)
+    d = size - (4**g - 1) // 3
+    q = mp + 2 ** (g - 1) * np.eye(size, dtype=np.int64)
+    # ranks mod p of the leading column blocks of Q: a column joins G when it raises the rank
+    leading = np.tri(size, dtype=np.int64)[:, None, :] * q
+    cols = np.flatnonzero(np.diff(batched_rank_mod_p(leading, PRIMES[0]), prepend=0))
+    kernel = q[:, cols]
+    _require_entrywise(b @ kernel, 0, f"B G = 0 for g={g}")
+    if exact_rank(kernel) != d:
+        raise VerificationError(f"the kernel basis of B for g={g} does not have rank {d}")
+    if batched_rank_mod_p(b[None], PRIMES[0])[0] < size - d:
+        raise VerificationError(f"rank B for g={g} is below {size - d} mod {PRIMES[0]}")
+    return _frozen(kernel)
 
 
 def kron_multiplicities(g: int) -> dict:

@@ -7,10 +7,13 @@ certified witness of order 27 and rank 19, the rank proved without
 elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum
 certificate of L; orders <= 7 are certified infeasible by strict diagonal dominance;
 the remaining orders are probed by seeded randomized search.  The probe
-screens whole batches of candidates with one batched elimination mod the
-prime 2^31 - 1 (a lower bound on the rational rank, so no true witness can
-be screened out) and confirms a candidate whose screened slack is <= 0 with
-`exact_rank`; floating point is never involved.
+screens each batch of same-order candidates with one batched elimination
+mod the prime 2^31 - 1 (`screen_ranks`), of B[S, S] or, from order 17 on,
+of the smaller G[S^c, :], G the certified integer basis of ker B, since
+rank B[S, S] = k - d + rank G[S^c, :] for B positive semidefinite.  Either
+gives a lower bound on the rational rank, so no true witness can be
+screened out; a candidate whose screened slack is <= 0 is confirmed with
+`exact_rank`.  Floating point is never involved.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .characteristics import generator_permutations, kplus_positions, odd_mask
 from .errors import VerificationError
-from .matrices import PRIMES, batched_rank_mod_p, build_B, build_Bk, exact_rank
+from .matrices import PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, exact_rank
 
 MOD_P = PRIMES[0]  # 2^31 - 1
 
@@ -101,6 +104,30 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
         "hence are positive definite (B = N N^t is a Gram matrix)"
     )
     return report
+
+
+def screen_ranks(g: int, idx) -> np.ndarray:
+    """Lower bounds on the rational ranks of the principal submatrices
+    B[S, S], one for each row S of the (n, k) index array idx, by one
+    elimination mod MOD_P.
+
+    B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
+    zeros off S, lies in ker B; with G = build_kernel_basis(g), of d
+    columns, that gives rank B[S, S] = k - d + rank G[S^c, :].  The batch is
+    eliminated in whichever form is cheaper, min(r, c)^2 max(r, c) for an
+    r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].  Either
+    rank mod MOD_P is at most its rational rank.
+    """
+    b = build_B(g)
+    kernel = build_kernel_basis(g)
+    n, k = idx.shape
+    r, d = len(b) - k, kernel.shape[1]
+    if k**3 <= min(r, d) ** 2 * max(r, d):
+        return batched_rank_mod_p(b[idx[:, :, None], idx[:, None, :]], MOD_P)
+    outside = np.ones((n, len(b)), dtype=bool)
+    outside[np.arange(n)[:, None], idx] = False
+    rest = np.nonzero(outside)[1].reshape(n, r)
+    return k - d + batched_rank_mod_p(kernel[rest], MOD_P)
 
 
 @cache
@@ -186,9 +213,7 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
         if not masks:
             return
         k = len(masks[0])
-        idx = np.array(masks, dtype=np.int64)
-        mats = b[idx[:, :, None], idx[:, None, :]]
-        ranks = batched_rank_mod_p(mats, MOD_P)
+        ranks = screen_ranks(g, np.array(masks, dtype=np.int64))
         used += len(masks)
         for mask, r in zip(masks, ranks.tolist()):
             slack = r - (k - need)

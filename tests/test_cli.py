@@ -608,12 +608,12 @@ def test_import_builds_no_table():
     code = (
         "import thetalab.cli\n"
         "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
-        "from thetalab.matrices import build_M\n"
-        "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
+        "from thetalab.matrices import build_M, build_kernel_basis\n"
+        "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M, build_kernel_basis)\n"
         "print([t.cache_info().currsize for t in tables])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):

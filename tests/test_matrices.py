@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from thetalab.characteristics import canonical_f2_order
 from thetalab.errors import VerificationError
@@ -19,6 +22,7 @@ from thetalab.matrices import (
     build_Bk,
     build_L,
     build_M,
+    build_kernel_basis,
     exact_rank,
     export_json,
     fay_multiplicities,
@@ -27,6 +31,7 @@ from thetalab.matrices import (
     split_blocks,
     verify_fay_spectrum,
 )
+from thetalab.search import screen_ranks
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -92,6 +97,107 @@ def test_exact_rank_refuses_bound_beyond_primes(monkeypatch):
     monkeypatch.setattr(matrices, "batched_rank_mod_p", no_elimination)
     with pytest.raises(ValueError, match="Hadamard bound"):
         exact_rank(np.full((64, 64), 2**23))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_exact_rank_of_an_empty_matrix_is_zero(shape):
+    assert exact_rank(np.zeros(shape, dtype=np.int64)) == 0
+
+
+def test_exact_rank_of_an_empty_batch():
+    ranks = exact_rank(np.zeros((0, 4, 4), dtype=np.int64))
+    assert ranks.dtype == np.int64 and ranks.shape == (0,)
+
+
+@pytest.mark.parametrize("mat", [np.array([[0.5]]), np.array([[2**63]], dtype=np.uint64)])
+def test_exact_rank_refuses_entries_outside_int64(monkeypatch, mat):
+    def no_elimination(mats, p):
+        raise AssertionError("eliminated before checking the entries")
+
+    monkeypatch.setattr(matrices, "batched_rank_mod_p", no_elimination)
+    with pytest.raises(ValueError, match="integers within int64"):
+        exact_rank(mat)
+
+
+def sympy_ranks_mod_p(mats, p):
+    return [DomainMatrix.from_list(m.tolist(), ZZ).convert_to(GF(p)).rank() for m in mats]
+
+
+@st.composite
+def integer_batches(draw, p):
+    """A batch of wide, square or tall integer matrices.  In some, one row
+    of the short side is a combination of two others plus p times itself,
+    so the rank drops over the rationals (a zero multiple of p) or mod p
+    only."""
+    short = draw(st.integers(1, 4))
+    long = short + draw(st.integers(0, 3))
+    size = draw(st.integers(1, 6))
+    mats = draw(arrays(np.int64, (size, short, long), elements=st.integers(-300, 300)))
+    if short >= 2:
+        for m in mats[: draw(st.integers(0, size))]:
+            x, y, z = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+            m[-1] = x * m[0] + y * m[-2] + z * p * m[-1]
+    return mats.transpose(0, 2, 1) if draw(st.booleans()) else mats
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], 101])
+def test_batched_rank_mod_p_matches_sympy_over_gf_p(p):
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(integer_batches(p))
+    def check(mats):
+        assert batched_rank_mod_p(mats, p).tolist() == sympy_ranks_mod_p(mats, p)
+
+    check()
+
+
+def test_kernel_basis_screen_matches_exact_rank_at_every_order():
+    b = build_B(3)
+    kernel = build_kernel_basis(3)
+    rng = np.random.default_rng(11)
+    for k in range(8, 27):
+        idx = np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
+        want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
+        assert screen_ranks(3, idx).tolist() == want.tolist()
+        # rank B[S, S] = k - d + rank G[S^c, :] whichever form the screen picks
+        rest = np.array([np.setdiff1d(np.arange(36), s) for s in idx])
+        assert (k - 15 + exact_rank(kernel[rest])).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("g,d", [(1, 2), (2, 5), (3, 15)])
+def test_kernel_basis_spans_ker_B(g, d):
+    kernel = build_kernel_basis(g)
+    b = build_B(g)
+    assert kernel.shape == (len(b), d)
+    assert not (b @ kernel).any()
+    assert exact_rank(kernel) == d == len(b) - exact_rank(b)
+    assert np.abs(kernel).max() <= 2 ** (g - 1) + 1
+
+
+@pytest.fixture
+def fresh_kernel_basis():
+    build_kernel_basis.cache_clear()
+    yield
+    build_kernel_basis.cache_clear()
+
+
+def test_kernel_basis_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel_basis):
+    b = build_B(3).copy()
+    b[0, 0] += 1
+    monkeypatch.setattr(matrices, "build_B", lambda g: b)
+    with pytest.raises(VerificationError, match="B G = 0 for g=3 fails"):
+        build_kernel_basis(3)
+
+
+def test_kernel_basis_refuses_a_rank_short_of_d(monkeypatch, fresh_kernel_basis):
+    monkeypatch.setattr(matrices, "exact_rank", lambda mat: 14)
+    with pytest.raises(VerificationError, match="does not have rank 15"):
+        build_kernel_basis(3)
+
+
+def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_kernel_basis):
+    monkeypatch.setattr(matrices, "build_B", lambda g: np.zeros((36, 36), dtype=np.int64))
+    with pytest.raises(VerificationError, match="rank B for g=3 is below 21"):
+        build_kernel_basis(3)
 
 
 def test_eigen_multiplicity_diag():
@@ -417,11 +523,12 @@ def test_matrices_are_built_once_per_genus():
     assert build_B(3) is build_B(3)
     assert build_L(3) is build_L(3)
     assert build_Bk(3)[0] is build_Bk(3)[0]
+    assert build_kernel_basis(3) is build_kernel_basis(3)
 
 
 def _cached_matrices(g):
     m = build_M(g)
-    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0]]
+    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], build_kernel_basis(g)]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -437,8 +544,9 @@ def test_cached_matrices_are_read_only(g):
     after = _cached_matrices(g)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
     # the cached values still satisfy the verified identities
-    m, mp, _, n, b, l, bk = after
+    m, mp, _, n, b, l, bk, kernel = after
     assert np.array_equal(m @ m, 4**g * np.eye(4**g, dtype=np.int64))
     assert np.array_equal(b, n @ n.T)
     assert np.array_equal(b, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
     assert np.array_equal(bk, 2 ** (g - 1) * (2**g * np.eye(3**g, dtype=np.int64) - l))
+    assert not (b @ kernel).any()
