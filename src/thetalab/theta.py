@@ -8,6 +8,12 @@ rigorous geometric majorant of the tail meets the requested tolerance.
 Before summing, z is reduced by quasi-periodicity (z = tau p + q with p, q
 shifted into a half-open unit box) and the nonvanishing exponential factor
 is tracked, so the returned value is theta at the original z.
+
+A whole level-n table is one sum over one box.  The exponent splits into
+terms of one and two coordinates, so a point's weight is one real
+exponential times a product of unit phases read from small tables, and the
+sums over the characteristics factor by axis: each axis is contracted with
+roots of unity by one matrix product, with no transform and no binning.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import characteristic_keys, odd_mask, table_size
+from .characteristics import characteristic_keys, enumerate_characteristics, odd_mask, table_size
 from .errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from .matrices import build_M, split_blocks
 
@@ -26,7 +32,8 @@ RADIUS_CAP = 60
 # the work cap on one characteristic's box (2r+1)^g
 MAX_BOX_POINTS = 1_000_000
 # the most points of the shared box theta_table holds at once: a point costs
-# about 55 bytes, and every table of g <= 3 in normal use fits in one chunk
+# about 40 bytes at g = 3 and 60 at g = 2, and every table of g <= 3 in
+# normal use fits in one slab
 CHUNK_POINTS = 2**16
 VANISH_REL = 1e-6
 NONVANISH_REL = 1e-3
@@ -148,19 +155,22 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     majorant meets tol, found by bisection: the majorant does not grow with r.
     The characteristic (a, b) sums over the points |m - rint(-a/n)| <= r,
     and on each axis the union over a of v = n m + a is one run of n(2r+1)
-    integers.  So one box holds the points of every characteristic, and each
-    point costs one exponential through
+    integers.  So one box holds the points of every characteristic, and
 
-        theta[a/n; b/n](tau, z) = e(a.b/n^2) sum_r S_a(r) e(r.b/n),
+        theta[a/n; b/n](tau, z) = sum_{v = a mod n} w(v) e(v.b/n^2),
 
-    where e(x) = exp(2 pi i x) and S_a(r) sums the weight
-    exp(pi i u^t tau u + 2 pi i u.z), u = v/n = m + a/n, over the points
-    with v = a and m = r (mod n): one bincount on (a, r).  The sum over r is
-    n^g times an inverse DFT of each a-row.  The box is swept in chunks of
-    at most CHUNK_POINTS points.
+    where e(x) = exp(2 pi i x) and w(v) = exp(pi i u^t tau u + 2 pi i u.z),
+    u = v/n.  The exponent is a sum of terms in u_i and in u_i + u_l, each
+    tabulated once as a real exponent and a unit phase, so a point costs one
+    real exponential and a few complex products.  With v = start + n j + t
+    (t < n) on each axis, e(v b/n^2) = e((start + t) b/n^2) e(j b/n): the
+    j axes are contracted one at a time with the matrix e(j b/n), leaving
+    (t, b) for every axis, and one gather with the twiddle e((start + t) b/n^2)
+    and the quasi-periodic phase puts the entries in index order.  The box is
+    swept in slabs of at most CHUNK_POINTS points.
     """
     g = tau.g
-    size = table_size(g, n)
+    table_size(g, n)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if tol == math.inf:
@@ -198,47 +208,107 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
             f"exceeds the cap of {MAX_BOX_POINTS}"
         )
 
-    # one axis of the box: rint(-a/n) is 0 for a <= n/2 and -1 above
-    side = n * (2 * radius + 1)
-    v = np.arange(side) - (n - 1) // 2 - n * radius
-    u = v / n
-    # bin (a, r) = (v mod n, m mod n), base n: a before r, the first coordinate first
-    digit = (v % n) * n**g + (v // n) % n
-    # the leading axes are swept as one flat axis, the others stay an open grid
-    lead = next(k for k in range(g + 1) if side ** (g - k) <= CHUNK_POINTS)
-    grid = g - lead
-    step = CHUNK_POINTS // side**grid
-    trailing = [ix[None] for ix in np.ix_(*[np.arange(side)] * grid)]
+    # one axis of the box: rint(-a/n) is 0 for a <= n/2 and -1 above, so the
+    # axis is the run v = start + k, k < side, and u = v/n
+    span = 2 * radius + 1
+    side = n * span
+    start = -((n - 1) // 2) - n * radius
+    # u^t tau u + 2 u.z = sum_i (d_i u_i^2 + 2 z_i u_i) + sum_{i<l} tau_il (u_i + u_l)^2
+    # with d_i = tau_ii - sum_{l != i} tau_il.  Row i of `terms` is axis term i
+    # at u = (start + k)/n, and the rows after it are the pair terms at
+    # u_i + u_l = (2 start + k)/n, k = k_i + k_l, in (i, l) order
     mat = tau.mat
-    sums = np.zeros(size, dtype=complex)
-    for start in range(0, side**lead, step):
-        flat = np.arange(start, min(start + step, side**lead))
-        leading = []
-        for _ in range(lead):
-            flat, index = np.divmod(flat, side)
-            leading.insert(0, index.reshape((-1,) + (1,) * grid))
-        axes = leading + trailing
-        x = [u[ix] for ix in axes]
-        # u^t tau u + 2 u.z, nested axis by axis so every product broadcasts
-        expo = sum(
-            x[i] * (mat[i, i] * x[i] + 2 * (z_red[i] + sum(mat[i, j] * x[j] for j in range(i + 1, g))))
-            for i in range(g)
-        )
-        expo *= 1j * math.pi
-        weight = np.exp(expo, out=expo).ravel()
-        bins = sum(digit[ix] * n ** (g - 1 - i) for i, ix in enumerate(axes)).ravel()
-        sums += np.bincount(bins, weight.real, size) + 1j * np.bincount(bins, weight.imag, size)
+    x = (start + np.arange(2 * side - 1)) / n
+    pairs = [mat[i, l] for i in range(g) for l in range(i + 1, g)]
+    terms = np.concatenate(
+        [np.outer(2 * mat.diagonal() - mat.sum(axis=1), x * x) + np.outer(2 * z_red, x), np.outer(pairs, (x + start / n) ** 2)]
+    )
+    # each term as its real exponent -pi Im and its unit phase exp(pi i Re)
+    real, phase = -math.pi * terms.imag, np.exp(1j * math.pi * terms.real)
 
-    rows = n**g
-    # sum_r S_a(r) e(r.b/n) for every b: n^g times the inverse DFT over the r axes
-    phased = rows * np.fft.ifftn(sums.reshape((rows,) + (n,) * g), axes=range(1, g + 1))
-    # a and b of each row and column; every twiddle is e(k / n^2) with
-    # k = a.b + n (a.s_one - s_tau.b)
-    vecs = np.indices((n,) * g).reshape(g, -1).T
-    k = vecs @ vecs.T + n * ((vecs @ s_one)[:, None] - (vecs @ s_tau)[None, :])
+    # write v = start + n j + t with t < n.  Entry (a, b) sums the weight times
+    # e(v.b/n^2) over the points with v = a (mod n), and on each axis
+    # e(v b/n^2) = e((start + t) b/n^2) e(j b/n).  So the j axes are contracted
+    # one at a time with e(j b/n), and the twiddle is applied once at the end.
     roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
-    values = base * (roots[k % (n * n)] * phased.reshape(rows, rows)).ravel()
-    return ThetaValues(values, float(tail * scale), radius)
+    steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
+    # the same products in real arithmetic, on the interleaved real and
+    # imaginary parts: left[:, j] holds Re and Im of e(j b/n) over b, and rows
+    # 2j and 2j + 1 of right take Re x_j and Im x_j to those of every y_b
+    left = np.concatenate([steps.real.T, steps.imag.T])
+    right = np.stack([steps, 1j * steps], axis=1).view(float).reshape(2 * span, 2 * n)
+    # the box is swept in slabs of whole j blocks of axis `lead`, the axes
+    # before it fixed to one point, so that a slab holds at most CHUNK_POINTS
+    # points.  A slab takes at least min(n, span) blocks where it can, so the
+    # sum over j never makes an array longer than the slab.
+    lead = next((i for i in range(g) if n * min(n, span) * side ** (g - 1 - i) <= CHUNK_POINTS), g - 1)
+    blocks = max(1, CHUNK_POINTS // (n * side ** (g - 1 - lead)))
+    free = g - lead
+    table = np.zeros((n,) * (2 * g), dtype=complex)
+    for fixed in np.ndindex((side,) * lead):
+        # a fixed axis contributes e(j b/n) over its b
+        factor = np.ones(())
+        for point in fixed:
+            factor = np.multiply.outer(factor, steps[point // n])
+        factor = factor.reshape((1,) * free + (n,) * lead + (1,) * free)
+        for j0 in range(0, span, blocks):
+            j1 = min(j0 + blocks, span)
+            lo = [*fixed, n * j0] + [0] * (free - 1)
+            hi = [point + 1 for point in fixed] + [n * j1] + [side] * (free - 1)
+            y = _slab_weights(lo, hi, real, phase).reshape(j1 - j0, -1)
+            # axis `lead`: (j, rest) -> (b, rest) as one left product
+            y = (left[:, j0:j1] @ y.view(float)).view(complex)
+            y = y[:n] + 1j * y[n:]
+            for i in range(1, free):
+                # (b, t_lead..t_{lead+i-1}, j, rest) -> (b, t_lead.., rest, b_{lead+i})
+                y = np.ascontiguousarray(y.reshape(n ** (i + 1), span, -1).transpose(0, 2, 1))
+                y = (y.view(float).reshape(-1, 2 * span) @ right).view(complex)
+            y = np.moveaxis(y.reshape((n,) * (2 * free)), 0, free)
+            table[tuple(point % n for point in fixed)] += y.reshape((n,) * free + (1,) * lead + (n,) * free) * factor
+
+    # row a of the result is row t = (a - start) mod n of the table, and entry
+    # (a, b) takes the twiddle e(k/n^2), k = (start + t).b + n (a.s_one - s_tau.b)
+    vecs = enumerate_characteristics(g, n)[: n**g, g:]
+    pos = (vecs - start) % n
+    k = (start + pos - n * (s_tau % n)) @ vecs.T + n * (vecs @ (s_one % n))[:, None]
+    values = table.reshape(n**g, n**g)[pos @ n ** np.arange(g - 1, -1, -1)]
+    values *= roots[k % (n * n)]
+    values *= base
+    return ThetaValues(values.ravel(), float(tail * scale), radius)
+
+
+def _slab_weights(lo, hi, real, phase):
+    """The weight exp(pi i (u^t tau u + 2 u.z)) at every point lo <= k < hi of
+    the box, from the real exponents and the phases of the axis terms (rows
+    0..g-1) and the pair terms (the rows after, in (i, l) order).
+
+    The tables multiply as open-grid broadcasts, and a pair table is a view
+    H[x, y] = row[lo_i + lo_l + x + y].  The pair (i, i+1) carries axis i, and
+    the last pair the last axis too; at g = 1 the axis table is the only one.
+    The real exponents are summed before the one exponential: a single pair's
+    may overflow where their sum cannot.
+    """
+    g = len(lo)
+    if g == 1:
+        return np.exp(real[0, lo[0] : hi[0]]) * phase[0, lo[0] : hi[0]]
+    total = np.zeros([h - l for l, h in zip(lo, hi)])
+    factors = []
+    for p, (i, l) in enumerate(((i, l) for i in range(g) for l in range(i + 1, g)), start=g):
+        rows, cols = hi[i] - lo[i], hi[l] - lo[l]
+        offset = lo[i] + lo[l]
+        pair = [np.ndarray((rows, cols), t.dtype, t[p], offset * t.itemsize, t.strides[1:] * 2) for t in (real, phase)]
+        if l == i + 1:
+            pair = [pair[0] + real[i, lo[i] : hi[i], None], pair[1] * phase[i, lo[i] : hi[i], None]]
+        if l == i + 1 == g - 1:
+            pair = [pair[0] + real[l, lo[l] : hi[l]], pair[1] * phase[l, lo[l] : hi[l]]]
+        shape = [1] * g
+        shape[i], shape[l] = rows, cols
+        total += pair[0].reshape(shape)
+        factors.append(pair[1].reshape(shape))
+    weight = np.exp(total, out=total).astype(complex)
+    for factor in factors:
+        weight *= factor
+    return weight
 
 
 def classify_magnitudes(mags, tail_bound):

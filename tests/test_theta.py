@@ -188,30 +188,47 @@ def test_theta_table_refuses_an_infinite_tolerance():
 
 @st.composite
 def small_theta_case(draw):
-    g = draw(st.integers(1, 2))
-    n = draw(st.integers(2, 6))
+    """tau, z, n and the entries to check.  At g = 3, n <= 4, Im tau is coupled
+    and Im z = Im tau p with some |p_i| >= 0.6, so the reduction shifts z."""
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6 if g < 3 else 4))
     unit = st.floats(-0.5, 0.5)
     re = np.array([[draw(unit) for _ in range(g)] for _ in range(g)])
     im = np.diag([draw(st.floats(0.6, 1.5)) for _ in range(g)])
-    if g == 2:
-        im[0, 1] = im[1, 0] = draw(st.floats(-0.2, 0.2))
+    for i in range(g):
+        for l in range(i + 1, g):
+            if g < 3:
+                im[i, l] = draw(st.floats(-0.2, 0.2))
+            else:
+                im[i, l] = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.05, 0.2))
+            im[l, i] = im[i, l]
     tau = PeriodMatrix((re + re.T) / 2 + 1j * im)
-    z = np.array([draw(unit) for _ in range(g)]) + 1j * np.array(
-        [draw(st.floats(-0.1, 0.1)) for _ in range(g)]
-    )
-    return tau, z, n
+    if g < 3:
+        shift = np.array([draw(st.floats(-0.1, 0.1)) for _ in range(g)])
+        picked = range(n ** (2 * g))
+    else:
+        p = np.array([draw(st.floats(-0.4, 0.4)) for _ in range(g)])
+        p[draw(st.integers(0, g - 1))] = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.6, 1.4))
+        shift = im @ p
+        picked = draw(st.lists(st.integers(0, n ** (2 * g) - 1), min_size=6, max_size=6, unique=True))
+    z = np.array([draw(unit) for _ in range(g)]) + 1j * shift
+    return tau, z, n, picked
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(small_theta_case())
 def test_theta_table_property_matches_naive_sum(case):
-    # the whole level-n table: every residue a shares the one box, binned mod n
-    tau, z, n = case
+    # the whole level-n table: every residue a shares the one box
+    tau, z, n, picked = case
+    g = tau.g
+    if g == 3:
+        assert np.any(np.floor(np.linalg.solve(tau.im, z.imag) + 0.5) != 0)
     table = theta_table(tau, z, n)
-    assert len(table.values) == n ** (2 * tau.g)
-    for (a, b), got in zip(halves(tau.g, n), table.values):
-        want = naive_theta(a, b, n, tau.mat, z, 9)
-        assert abs(got - want) < 1e-12
+    assert len(table.values) == n ** (2 * g)
+    chars = enumerate_characteristics(g, n)
+    for i in picked:
+        want = naive_theta(chars[i, :g], chars[i, g:], n, tau.mat, z, 9)
+        assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
 
 
 def symplectic_form(g):
@@ -259,22 +276,32 @@ def test_theta_table_level_three_g3_offlattice_z_matches_naive_sum():
 
 
 @pytest.fixture
-def chunk_sizes(monkeypatch):
-    """The number of points in each chunk of the box, read off np.bincount."""
-    sizes = []
-    bincount = np.bincount
+def slabs(monkeypatch):
+    """The (lo, hi) corners of each slab of the box, read off _slab_weights."""
+    theta_module = importlib.import_module("thetalab.theta")
+    corners = []
+    slab_weights = theta_module._slab_weights
 
-    def spy(bins, weights=None, minlength=0):
-        sizes.append(len(bins))
-        return bincount(bins, weights, minlength)
+    def spy(lo, hi, *tables):
+        corners.append((tuple(lo), tuple(hi)))
+        return slab_weights(lo, hi, *tables)
 
-    monkeypatch.setattr(np, "bincount", spy)
-    return sizes
+    monkeypatch.setattr(theta_module, "_slab_weights", spy)
+    return corners
 
 
-def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
+def assert_slabs_tile_the_box(corners, side, g, most):
+    # each slab holds at most `most` points, and every box point lies in exactly one
+    assert max(math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in corners) <= most
+    cover = np.zeros((side,) * g, dtype=np.int8)
+    for lo, hi in corners:
+        cover[tuple(slice(l, h) for l, h in zip(lo, hi))] += 1
+    assert np.all(cover == 1)
+
+
+def test_theta_table_multi_chunk_g4_level_three(slabs):
     # the shared box is 27^4 points at radius 4, more than two chunks hold,
-    # and the sweep holds one chunk at a time
+    # and the sweep holds one slab at a time
     tau = random_tau(4, 1)
     z = np.array([0.12, -0.21, 0.05, 0.3]) + 1j * np.array([0.03, 0.0, -0.04, 0.02])
     tracemalloc.start()
@@ -285,26 +312,49 @@ def test_theta_table_multi_chunk_g4_level_three(chunk_sizes):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert table.radius_used == 4 and 27**4 > 2 * CHUNK_POINTS
-    assert len(chunk_sizes) > 2 and max(chunk_sizes) <= CHUNK_POINTS
-    assert sum(chunk_sizes) == 2 * 27**4
+    assert len(slabs) > 2
+    assert_slabs_tile_the_box(slabs, 27, 4, CHUNK_POINTS)
     chars = enumerate_characteristics(4, 3)
     for i in (0, 1, 82, 2000, 3280, 4321, 6560):
         want = naive_theta(chars[i, :4], chars[i, 4:], 3, tau.mat, z, 5)
         assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
 
 
-def test_theta_table_chunks_over_two_leading_axes(monkeypatch, chunk_sizes):
-    # with chunks of 7^2 = 49 points, one axis of the (2, 14) box (98 points
-    # at radius 3) already overflows a chunk, so both axes are swept as one
+def test_theta_table_chunks_over_two_leading_axes(monkeypatch, slabs):
+    # with slabs of at most 7^2 = 49 points, one row of the first axis of the
+    # (2, 14) box (98 points at radius 3) already overflows a slab, so a slab
+    # is one point of the first axis and whole j blocks (14 points) of the second
     tau = random_tau(2, 3)
     whole = theta_table(tau, np.zeros(2), 14)
     monkeypatch.setattr(importlib.import_module("thetalab.theta"), "CHUNK_POINTS", 49)
-    chunk_sizes.clear()
+    slabs.clear()
     chunked = theta_table(tau, np.zeros(2), 14)
     assert chunked.radius_used == whole.radius_used == 3
-    assert max(chunk_sizes) <= 49 and sum(chunk_sizes) == 2 * 98**2
+    assert len(slabs) > 2 and all(hi[0] - lo[0] == 1 for lo, hi in slabs)
+    assert_slabs_tile_the_box(slabs, 98, 2, 49)
     top = np.max(np.abs(whole.values))
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-14 * top
+
+
+@pytest.mark.parametrize("g,n", [(1, 256), (2, 16)])
+def test_theta_table_at_the_largest_levels_stays_small(g, n):
+    # the largest levels MAX_CHARACTERISTICS allows at g = 1 and 2; a dense
+    # side x n^2 projection of one axis would hold 1792 x 65536 complex
+    # entries at (1, 256), about 1.9 GB
+    assert n ** (2 * g) == MAX_CHARACTERISTICS
+    tau = random_tau(g, 4)
+    z = np.full(g, 0.21 - 0.07j)
+    tracemalloc.start()
+    try:
+        table = theta_table(tau, z, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    chars = enumerate_characteristics(g, n)
+    for i in (0, 1, n**g - 1, n**g + 3, MAX_CHARACTERISTICS // 3, MAX_CHARACTERISTICS - 1):
+        want = naive_theta(chars[i, :g], chars[i, g:], n, tau.mat, z, 8)
+        assert abs(table.values[i] - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_theta_table_box_cap_raises_before_allocating():
