@@ -233,14 +233,15 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
     steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
     # the same products in real arithmetic, on the interleaved real and
-    # imaginary parts: left[:, j] holds Re and Im of e(j b/n) over b, and rows
-    # 2j and 2j + 1 of right take Re x_j and Im x_j to those of every y_b
-    left = np.concatenate([steps.real.T, steps.imag.T])
+    # imaginary parts: rows 2j and 2j + 1 of `right` take Re x_j and Im x_j to
+    # those of every y_b, and column j of `left` holds Re and Im of every e(j b/n)
     right = np.stack([steps, 1j * steps], axis=1).view(float).reshape(2 * span, 2 * n)
+    left = right[::2].T
     # the box is swept in slabs of whole j blocks of axis `lead`, the axes
     # before it fixed to one point, so that a slab holds at most CHUNK_POINTS
-    # points.  A slab takes at least min(n, span) blocks where it can, so the
-    # sum over j never makes an array longer than the slab.
+    # points.  A slab takes at least min(n, span) blocks where it can: the sum
+    # over j then makes no array longer than the slab, except where a whole
+    # axis holds fewer than n blocks and the table itself is the larger one.
     lead = next((i for i in range(g) if n * min(n, span) * side ** (g - 1 - i) <= CHUNK_POINTS), g - 1)
     blocks = max(1, CHUNK_POINTS // (n * side ** (g - 1 - lead)))
     free = g - lead
@@ -258,12 +259,13 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
             y = _slab_weights(lo, hi, real, phase).reshape(j1 - j0, -1)
             # axis `lead`: (j, rest) -> (b, rest) as one left product
             y = (left[:, j0:j1] @ y.view(float)).view(complex)
-            y = y[:n] + 1j * y[n:]
+            y = y[::2] + 1j * y[1::2]
             for i in range(1, free):
                 # (b, t_lead..t_{lead+i-1}, j, rest) -> (b, t_lead.., rest, b_{lead+i})
                 y = np.ascontiguousarray(y.reshape(n ** (i + 1), span, -1).transpose(0, 2, 1))
                 y = (y.view(float).reshape(-1, 2 * span) @ right).view(complex)
-            y = np.moveaxis(y.reshape((n,) * (2 * free)), 0, free)
+            # (b_lead, t_lead.., b..) -> (t_lead.., b_lead, b..), then the fixed axes' t and b
+            y = y.reshape((n,) * (2 * free)).transpose(*range(1, free + 1), 0, *range(free + 1, 2 * free))
             table[tuple(point % n for point in fixed)] += y.reshape((n,) * free + (1,) * lead + (n,) * free) * factor
 
     # row a of the result is row t = (a - start) mod n of the table, and entry
