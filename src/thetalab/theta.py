@@ -170,7 +170,7 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     swept in slabs of at most CHUNK_POINTS points.
     """
     g = tau.g
-    table_size(g, n)
+    table_size(g, n)  # refuses a level below 2 or a table over MAX_CHARACTERISTICS
     if not tol > 0:
         raise ValueError("tol must be positive")
     if tol == math.inf:
