@@ -223,8 +223,16 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     terms = np.concatenate(
         [np.outer(2 * mat.diagonal() - mat.sum(axis=1), x * x) + np.outer(2 * z_red, x), np.outer(pairs, (x + start / n) ** 2)]
     )
-    # each term as its real exponent -pi Im and its unit phase exp(pi i Re)
-    real, phase = -math.pi * terms.imag, np.exp(1j * math.pi * terms.real)
+    # each term as its real exponent -pi Im and its unit phase exp(pi i Re): the
+    # axis terms over k, and pair term p as the side x side view
+    # H[p, k_i, k_l] = row[k_i + k_l], whose last entry is its row's last,
+    # 2 side - 2.  numpy's sliding_window_view builds the same view, but its
+    # two calls add 9-15 % to a (2, 2) to (3, 3) table; the constructor checks
+    # the view against the buffer all the same.
+    real, phase = (
+        (t[:g, :side], np.ndarray((len(t) - g, side, side), t.dtype, t[g:], 0, t.strides + t.strides[1:]))
+        for t in (-math.pi * terms.imag, np.exp(1j * math.pi * terms.real))
+    )
 
     # write v = start + n j + t with t < n.  Entry (a, b) sums the weight times
     # e(v.b/n^2) over the points with v = a (mod n), and on each axis
@@ -232,11 +240,6 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # one at a time with e(j b/n), and the twiddle is applied once at the end.
     roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
     steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
-    # the same products in real arithmetic, on the interleaved real and
-    # imaginary parts: rows 2j and 2j + 1 of `right` take Re x_j and Im x_j to
-    # those of every y_b, and column j of `left` holds Re and Im of every e(j b/n)
-    right = np.stack([steps, 1j * steps], axis=1).view(float).reshape(2 * span, 2 * n)
-    left = right[::2].T
     # the box is swept in slabs of whole j blocks of axis `lead`, the axes
     # before it fixed to one point, so that a slab holds at most CHUNK_POINTS
     # points.  A slab takes at least min(n, span) blocks where it can: the sum
@@ -258,12 +261,10 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
             hi = [point + 1 for point in fixed] + [n * j1] + [side] * (free - 1)
             y = _slab_weights(lo, hi, real, phase).reshape(j1 - j0, -1)
             # axis `lead`: (j, rest) -> (b, rest) as one left product
-            y = (left[:, j0:j1] @ y.view(float)).view(complex)
-            y = y[::2] + 1j * y[1::2]
+            y = steps[j0:j1].T @ y
             for i in range(1, free):
                 # (b, t_lead..t_{lead+i-1}, j, rest) -> (b, t_lead.., rest, b_{lead+i})
-                y = np.ascontiguousarray(y.reshape(n ** (i + 1), span, -1).transpose(0, 2, 1))
-                y = (y.view(float).reshape(-1, 2 * span) @ right).view(complex)
+                y = y.reshape(n ** (i + 1), span, -1).transpose(0, 2, 1).reshape(-1, span) @ steps
             # (b_lead, t_lead.., b..) -> (t_lead.., b_lead, b..), then the fixed axes' t and b
             y = y.reshape((n,) * (2 * free)).transpose(*range(1, free + 1), 0, *range(free + 1, 2 * free))
             table[tuple(point % n for point in fixed)] += y.reshape((n,) * free + (1,) * lead + (n,) * free) * factor
@@ -281,30 +282,30 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
 
 def _slab_weights(lo, hi, real, phase):
     """The weight exp(pi i (u^t tau u + 2 u.z)) at every point lo <= k < hi of
-    the box, from the real exponents and the phases of the axis terms (rows
-    0..g-1) and the pair terms (the rows after, in (i, l) order).
+    the box.  real and phase each hold the axis terms (rows 0..g-1, over k)
+    and the pair terms (over (k_i, k_l), in (i, l) order) as real exponents
+    and unit phases.
 
-    The tables multiply as open-grid broadcasts, and a pair table is a view
-    H[x, y] = row[lo_i + lo_l + x + y].  The pair (i, i+1) carries axis i, and
-    the last pair the last axis too; at g = 1 the axis table is the only one.
-    The real exponents are summed before the one exponential: a single pair's
-    may overflow where their sum cannot.
+    The tables multiply as open-grid broadcasts.  The pair (i, i+1) carries
+    axis i, and the last pair the last axis too; at g = 1 the axis table is
+    the only one.  The real exponents are summed before the one exponential:
+    a single pair's may overflow where their sum cannot.
     """
     g = len(lo)
+    box = [slice(l, h) for l, h in zip(lo, hi)]
     if g == 1:
-        return np.exp(real[0, lo[0] : hi[0]]) * phase[0, lo[0] : hi[0]]
+        return np.exp(real[0][0, box[0]]) * phase[0][0, box[0]]
+    (axes, pairs), (axes_phase, pairs_phase) = real, phase
     total = np.zeros([h - l for l, h in zip(lo, hi)])
     factors = []
-    for p, (i, l) in enumerate(((i, l) for i in range(g) for l in range(i + 1, g)), start=g):
-        rows, cols = hi[i] - lo[i], hi[l] - lo[l]
-        offset = lo[i] + lo[l]
-        pair = [np.ndarray((rows, cols), t.dtype, t[p], offset * t.itemsize, t.strides[1:] * 2) for t in (real, phase)]
+    for p, (i, l) in enumerate((i, l) for i in range(g) for l in range(i + 1, g)):
+        pair = [pairs[p, box[i], box[l]], pairs_phase[p, box[i], box[l]]]
         if l == i + 1:
-            pair = [pair[0] + real[i, lo[i] : hi[i], None], pair[1] * phase[i, lo[i] : hi[i], None]]
+            pair = [pair[0] + axes[i, box[i], None], pair[1] * axes_phase[i, box[i], None]]
         if l == i + 1 == g - 1:
-            pair = [pair[0] + real[l, lo[l] : hi[l]], pair[1] * phase[l, lo[l] : hi[l]]]
+            pair = [pair[0] + axes[l, box[l]], pair[1] * axes_phase[l, box[l]]]
         shape = [1] * g
-        shape[i], shape[l] = rows, cols
+        shape[i], shape[l] = pair[0].shape
         total += pair[0].reshape(shape)
         factors.append(pair[1].reshape(shape))
     weight = np.exp(total, out=total).astype(complex)
