@@ -227,8 +227,8 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # axis terms over k, and pair term p as the side x side view
     # H[p, k_i, k_l] = row[k_i + k_l], whose last entry is its row's last,
     # 2 side - 2.  numpy's sliding_window_view builds the same view, but its
-    # two calls add 9-15 % to a (2, 2) to (3, 3) table; the constructor checks
-    # the view against the buffer all the same.
+    # two calls make a (2, 2) to (3, 3) table 12-23 % slower; the constructor
+    # checks the view against the buffer all the same.
     real, phase = (
         (t[:g, :side], np.ndarray((len(t) - g, side, side), t.dtype, t[g:], 0, t.strides + t.strides[1:]))
         for t in (-math.pi * terms.imag, np.exp(1j * math.pi * terms.real))
