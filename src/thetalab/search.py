@@ -1,19 +1,22 @@
 """Principal-submatrix rank search on B = N N^t.
 
 The target quantity is the smallest order k admitting a principal submatrix
-S with rank(S) <= k - 2^g.  At g = 2 the 2^10 masks are scanned exhaustively,
-one batch of exact ranks per order.  At g = 3 the strictly-even submatrix gives a
-certified witness of order 27 and rank 19, the rank proved without
-elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum
-certificate of L; orders <= 7 are certified infeasible by strict diagonal dominance;
-the remaining orders are probed by seeded randomized search.  The probe
-screens each batch of same-order candidates with one batched elimination
-mod the prime 2^31 - 1 (`screen_ranks`), of B[S, S] or, from order 17 on,
-of the smaller G[S^c, :], G the certified integer basis of ker B, since
-rank B[S, S] = k - d + rank G[S^c, :] for B positive semidefinite.  Either
-gives a lower bound on the rational rank, so no true witness can be
-screened out; a candidate whose screened slack is <= 0 is confirmed with
-`exact_rank`.  Floating point is never involved.
+S with rank(S) <= k - 2^g.  Both genera rank a batch of same-order masks in
+one call (`submatrix_ranks`), of B[S, S] or of the smaller G[S^c, :], G the
+certified integer basis of ker B, since rank B[S, S] = k - d + rank G[S^c, :]
+for B positive semidefinite.  At g = 2 the 2^10 masks are scanned
+exhaustively, one batch of exact ranks per order.  At g = 3 the strictly-even
+submatrix gives a certified witness of order 27 and rank 19, the rank proved
+without elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the
+spectrum certificate of L; orders <= 7 are certified infeasible by strict
+diagonal dominance; the remaining orders are probed by seeded randomized
+search: batches of uniform masks of one random order, each drawn as one
+array, then the single-swap neighbourhoods of the best masks.  The probe
+screens each batch with one elimination mod the prime 2^31 - 1
+(`screen_ranks`; the G form wins from order 17 on), a lower bound on the
+rational rank, so no true witness can be screened out; a candidate whose
+screened slack is <= 0 is confirmed with `exact_rank`.  Floating point is
+never involved.
 """
 
 from __future__ import annotations
@@ -65,6 +68,29 @@ class SearchReport:
         }
 
 
+def submatrix_ranks(g: int, idx, rank) -> np.ndarray:
+    """The ranks of the principal submatrices B[S, S], one for each row S of
+    the (n, k) index array idx, by one call of rank on a batch of integer
+    matrices.
+
+    B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
+    zeros off S, lies in ker B; with G = build_kernel_basis(g), of d
+    columns, that gives rank B[S, S] = k - d + rank G[S^c, :].  The batch is
+    handed to rank in whichever form is cheaper, min(r, c)^2 max(r, c) for
+    an r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].
+    """
+    b = build_B(g)
+    kernel = build_kernel_basis(g)
+    n, k = idx.shape
+    r, d = len(b) - k, kernel.shape[1]
+    if k**3 <= min(r, d) ** 2 * max(r, d):
+        return rank(b[idx[:, :, None], idx[:, None, :]])
+    outside = np.ones((n, len(b)), dtype=bool)
+    outside[np.arange(n)[:, None], idx] = False
+    rest = np.nonzero(outside)[1].reshape(n, r)
+    return k - d + rank(kernel[rest])
+
+
 def h0_exhaustive(g: int = 2) -> SearchReport:
     """Scan every principal submatrix of B at g = 2, one batch of exact
     ranks per order."""
@@ -77,12 +103,11 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
     min_rank = {}
     witnesses = []
     for k in range(1, kp + 1):
-        masks = list(combinations(range(kp), k))
-        idx = np.array(masks)
-        ranks = exact_rank(b[idx[:, :, None], idx[:, None, :]])
+        idx = np.array(list(combinations(range(kp), k)))
+        ranks = submatrix_ranks(g, idx, exact_rank)
         min_rank[k] = int(ranks.min())
         if not witnesses:
-            witnesses = [mask for mask, r in zip(masks, ranks.tolist()) if r <= k - need]
+            witnesses = [tuple(mask) for mask in idx[ranks <= k - need].tolist()]
     h0 = len(witnesses[0]) if witnesses else None
     report.min_rank_by_order = min_rank
     report.h0 = h0
@@ -108,26 +133,40 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
 
 def screen_ranks(g: int, idx) -> np.ndarray:
     """Lower bounds on the rational ranks of the principal submatrices
-    B[S, S], one for each row S of the (n, k) index array idx, by one
-    elimination mod MOD_P.
+    B[S, S], one for each row S of the (n, k) index array idx: submatrix_ranks
+    by one elimination mod MOD_P, which in either form is at most the
+    rational rank."""
+    return submatrix_ranks(g, idx, lambda mats: batched_rank_mod_p(mats, MOD_P))
 
-    B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
-    zeros off S, lies in ker B; with G = build_kernel_basis(g), of d
-    columns, that gives rank B[S, S] = k - d + rank G[S^c, :].  The batch is
-    eliminated in whichever form is cheaper, min(r, c)^2 max(r, c) for an
-    r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].  Either
-    rank mod MOD_P is at most its rational rank.
-    """
-    b = build_B(g)
-    kernel = build_kernel_basis(g)
-    n, k = idx.shape
-    r, d = len(b) - k, kernel.shape[1]
-    if k**3 <= min(r, d) ** 2 * max(r, d):
-        return batched_rank_mod_p(b[idx[:, :, None], idx[:, None, :]], MOD_P)
-    outside = np.ones((n, len(b)), dtype=bool)
-    outside[np.arange(n)[:, None], idx] = False
-    rest = np.nonzero(outside)[1].reshape(n, r)
-    return k - d + batched_rank_mod_p(kernel[rest], MOD_P)
+
+def sample_masks(rng, orders, size: int, m: int) -> np.ndarray:
+    """m uniform subsets of range(size), all of one order drawn from orders,
+    as an (m, k) array of sorted rows."""
+    k = int(rng.choice(orders))
+    perms = rng.permuted(np.broadcast_to(np.arange(size), (m, size)), axis=1)
+    return np.sort(perms[:, :k], axis=1)
+
+
+def swap_neighbours(mask, size: int) -> np.ndarray:
+    """The k (size - k) masks one swap away from the sorted mask of order
+    k, as an array of sorted rows: each position of the mask in turn, its
+    index replaced by each index of range(size) outside the mask in
+    increasing order."""
+    mask = np.asarray(mask)
+    k = len(mask)
+    outside = np.setdiff1d(np.arange(size), mask)
+    swaps = np.broadcast_to(mask, (k, len(outside), k)).copy()
+    swaps[np.arange(k), :, np.arange(k)] = outside
+    return np.sort(swaps.reshape(-1, k), axis=1)
+
+
+def least_slack(slack, masks) -> tuple:
+    """The least (slack, mask) of a batch of sorted masks, the (n, k) array
+    masks: the least slack and, among the masks that reach it, the
+    lexicographically least, as an int and a tuple."""
+    low = slack.min()
+    ties = masks[slack == low]
+    return int(low), tuple(ties[np.lexsort(ties.T[::-1])[0]].tolist())
 
 
 @cache
@@ -209,46 +248,45 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     seen = set()
 
     def eval_batch(masks):
+        """Screen one (n, k) batch of sorted masks; best[k] keeps the least
+        (slack, mask) ever seen at order k, and every mask of screened slack
+        <= 0 is confirmed exactly."""
         nonlocal used
-        if not masks:
+        if not len(masks):
             return
-        k = len(masks[0])
-        ranks = screen_ranks(g, np.array(masks, dtype=np.int64))
+        k = masks.shape[1]
+        slack = screen_ranks(g, masks) - (k - need)
         used += len(masks)
-        for mask, r in zip(masks, ranks.tolist()):
-            slack = r - (k - need)
-            if k not in best or slack < best[k][0] or (slack == best[k][0] and mask < best[k][1]):
-                best[k] = (slack, mask)
-            if slack <= 0:
-                confirm = exact_rank(b[np.ix_(mask, mask)])
-                if confirm <= k - need:
-                    report.counterexample_found = True
-                    report.witnesses.append(tuple(mask))
-                    report.h0_upper = min(report.h0_upper, k)
-                    report.notes.append(
-                        f"witness of order {k} found: exact rank {confirm}"
-                    )
+        least = least_slack(slack, masks)
+        if k not in best or least < best[k]:
+            best[k] = least
+        for mask in masks[slack <= 0].tolist():
+            confirm = exact_rank(b[np.ix_(mask, mask)])
+            if confirm <= k - need:
+                report.counterexample_found = True
+                report.witnesses.append(tuple(mask))
+                report.h0_upper = min(report.h0_upper, k)
+                report.notes.append(
+                    f"witness of order {k} found: exact rank {confirm}"
+                )
 
     # uniform phase: no canonicalization (dedup gain is nil against a mask
     # space orders of magnitude larger than the budget, and the greedy
-    # minimization would dominate the runtime)
-    sample_budget = int(budget * 0.8)
+    # minimization would dominate the runtime).  It spends at least one
+    # mask, so the greedy phase has a start even at budget 1.
+    sample_budget = max(1, int(budget * 0.8))
     batch = 4096
 
     def sample(limit):
         """One batch of uniform masks of a random order, up to limit used."""
-        k = int(rng.choice(orders))
-        eval_batch([
-            tuple(sorted(rng.choice(kp, size=k, replace=False).tolist()))
-            for _ in range(min(batch, limit - used))
-        ])
+        eval_batch(sample_masks(rng, orders, kp, min(batch, limit - used)))
 
     while used < sample_budget:
         sample(sample_budget)
 
     # greedy swap refinement from the most promising masks per order;
     # canonicalization dedups restart seeds that land in an explored orbit
-    while used < budget and best:
+    while used < budget:
         start_order = min(best, key=lambda k: (best[k][0], k))
         slack0, mask0 = best[start_order]
         canon = canonicalize_mask(mask0, perms)
@@ -256,23 +294,8 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
             sample(budget)
             continue
         seen.add(canon)
-        current = list(mask0)
-        inside = set(current)
-        neighbors = []
-        for pos in range(len(current)):
-            for repl in range(kp):
-                if repl in inside:
-                    continue
-                cand = sorted(current[:pos] + [repl] + current[pos + 1 :])
-                neighbors.append(tuple(cand))
-                if used + len(neighbors) >= budget:
-                    break
-            if used + len(neighbors) >= budget:
-                break
-        before = best.get(start_order, (10**9, ()))[0]
-        eval_batch(neighbors)
-        after = best.get(start_order, (10**9, ()))[0]
-        if after >= before:
+        eval_batch(swap_neighbours(mask0, kp)[: budget - used])
+        if best[start_order][0] >= slack0:
             # plateau: random restart consumes budget through the sampler
             sample(budget)
 

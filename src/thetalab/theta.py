@@ -238,7 +238,10 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # e(v.b/n^2) over the points with v = a (mod n), and on each axis
     # e(v b/n^2) = e((start + t) b/n^2) e(j b/n).  So the j axes are contracted
     # one at a time with e(j b/n), and the twiddle is applied once at the end.
-    roots = np.exp(2j * math.pi * np.arange(n * n) / (n * n))
+    # the n^2-th roots of unity e(k/n^2) as e(q/n) e(r/n^2), k = q n + r:
+    # 2n complex exponentials rather than n^2
+    turns = 2j * math.pi * np.arange(n)
+    roots = np.multiply.outer(np.exp(turns / n), np.exp(turns / (n * n))).ravel()
     steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
     # the box is swept in slabs of whole j blocks of axis `lead`, the axes
     # before it fixed to one point, so that a slab holds at most CHUNK_POINTS

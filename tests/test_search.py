@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 import sympy
@@ -6,12 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thetalab.errors import VerificationError
+from thetalab import search
 from thetalab.matrices import build_B, build_Bk, exact_rank
 from thetalab.search import (
     canonicalize_mask,
     _perm_action_on_kplus,
     h0_exhaustive,
     h0_probe,
+    least_slack,
+    sample_masks,
+    submatrix_ranks,
+    swap_neighbours,
 )
 
 
@@ -99,6 +106,106 @@ def test_h0_probe_output_pinned(budget, seed, min_rank):
         "counterexample_found": False,
         "notes": PROBE_NOTES,
     }
+
+
+def test_sampled_batches_hold_sorted_distinct_masks_of_one_order():
+    rng = np.random.default_rng(3)
+    orders = np.arange(8, 27)
+    for m in [0, 1, 2, 4096] + rng.integers(1, 300, size=40).tolist():
+        masks = sample_masks(rng, orders, 36, m)
+        assert masks.shape[0] == m and 8 <= masks.shape[1] < 27
+        assert (np.diff(masks, axis=1) > 0).all()
+        assert m == 0 or (masks.min() >= 0 and masks.max() < 36)
+    # uniform: each index lies in about k/36 of the masks of order k
+    masks = sample_masks(np.random.default_rng(4), [12], 36, 36000)
+    counts = np.bincount(masks.ravel(), minlength=36)
+    p = 12 / 36
+    assert np.abs(counts - 36000 * p).max() < 5 * np.sqrt(36000 * p * (1 - p))
+
+
+def test_probe_batches_are_sorted_distinct_masks_of_one_order(monkeypatch):
+    batches = []
+    screen = search.screen_ranks
+
+    def spy(g, idx):
+        batches.append(idx.copy())
+        return screen(g, idx)
+
+    monkeypatch.setattr(search, "screen_ranks", spy)
+    h0_probe(3, budget=6000, seed=11)
+    assert sum(map(len, batches)) == 6000
+    for idx in batches:
+        assert 8 <= idx.shape[1] < 27
+        assert (np.diff(idx, axis=1) > 0).all()
+        assert idx.min() >= 0 and idx.max() < 36
+
+
+@pytest.mark.parametrize("budget", [1, 4096, 4097])
+def test_h0_probe_spends_exactly_its_budget(budget):
+    assert h0_probe(3, budget=budget, seed=0).budget_used == budget
+
+
+def test_h0_probe_cuts_a_greedy_neighbourhood_at_the_budget(monkeypatch):
+    sizes = []
+    screen = search.screen_ranks
+
+    def spy(g, idx):
+        sizes.append(len(idx))
+        return screen(g, idx)
+
+    monkeypatch.setattr(search, "screen_ranks", spy)
+    # 80 uniform masks, then a neighbourhood of k (36 - k) >= 216 swaps cut to 20
+    assert h0_probe(3, budget=100, seed=0).budget_used == 100
+    assert sizes == [80, 20]
+
+
+def reference_swaps(mask, size):
+    """The single swaps of a sorted mask as the per-neighbour loop built
+    them: by position, then by replacement index."""
+    out = []
+    for pos in range(len(mask)):
+        for repl in range(size):
+            if repl not in mask:
+                out.append(tuple(sorted(mask[:pos] + (repl,) + mask[pos + 1 :])))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 8, 17, 26, 35])
+def test_swap_neighbours_are_the_single_swaps_in_loop_order(k):
+    rng = np.random.default_rng(k)
+    mask = tuple(sorted(rng.choice(36, size=k, replace=False).tolist()))
+    swaps = swap_neighbours(mask, 36)
+    assert swaps.shape == (k * (36 - k), k)
+    assert list(map(tuple, swaps.tolist())) == reference_swaps(mask, 36)
+    assert len(set(map(tuple, swaps.tolist()))) == k * (36 - k)
+
+
+def test_least_slack_keeps_the_per_mask_rule():
+    # slacks in {-1, 0, 1} over masks drawn from few indices, so that a batch
+    # holds many ties and repeated masks
+    rng = np.random.default_rng(8)
+    array_best, loop_best = {}, {}
+    for _ in range(200):
+        k = int(rng.integers(2, 5))
+        masks = np.sort(rng.permuted(np.broadcast_to(np.arange(7), (int(rng.integers(1, 30)), 7)), axis=1)[:, :k], axis=1)
+        masks = masks[rng.integers(0, len(masks), size=len(masks))]
+        slack = rng.integers(-1, 2, size=len(masks))
+        least = least_slack(slack, masks)
+        if k not in array_best or least < array_best[k]:
+            array_best[k] = least
+        for mask, s in zip(map(tuple, masks.tolist()), slack.tolist()):
+            if k not in loop_best or s < loop_best[k][0] or (s == loop_best[k][0] and mask < loop_best[k][1]):
+                loop_best[k] = (s, mask)
+        assert array_best == loop_best
+
+
+def test_submatrix_ranks_agree_in_both_forms_at_g2():
+    # every one of the 1023 masks: the cheaper form against B[S, S] exactly
+    b = build_B(2)
+    for k in range(1, 11):
+        idx = np.array(list(combinations(range(10), k)))
+        want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
+        assert submatrix_ranks(2, idx, exact_rank).tolist() == want.tolist()
 
 
 def test_canonicalize_mask_greedy_minimization():
