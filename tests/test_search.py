@@ -84,13 +84,14 @@ PROBE_NOTES = [
 @pytest.mark.parametrize(
     "budget,seed,min_rank",
     [
-        (4000, 7, {"17": 16, "25": 19, "27": 19}),
-        (2000, 1, {"15": 14, "16": 15, "27": 19}),
+        (4000, 7, {"25": 19, "26": 20, "27": 19}),
+        (2000, 1, {"9": 9, "16": 14, "27": 19}),
     ],
 )
 def test_h0_probe_output_pinned(budget, seed, min_rank):
-    # literals computed with the earlier two-path mod-p kernel: the screened
-    # ranks, and so the whole report, do not depend on the pivot order
+    # the screened ranks mod 2^31 - 1 do not depend on the pivot order or on
+    # the form submatrix_ranks eliminates, so these literals follow the
+    # seeded draws alone: the masks sampled and the swaps tried
     assert h0_probe(3, budget=budget, seed=seed).to_json() == {
         "g": 3,
         "exhaustive": False,
