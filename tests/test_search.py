@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from thetalab.errors import VerificationError
 from thetalab import search
+from thetalab.errors import VerificationError
 from thetalab.matrices import build_B, build_Bk, exact_rank
 from thetalab.search import (
     canonicalize_mask,
@@ -124,7 +124,9 @@ def test_sampled_batches_hold_sorted_distinct_masks_of_one_order():
     assert np.abs(counts - 36000 * p).max() < 5 * np.sqrt(36000 * p * (1 - p))
 
 
-def test_probe_batches_are_sorted_distinct_masks_of_one_order(monkeypatch):
+@pytest.fixture
+def screened(monkeypatch):
+    """The index arrays the probe hands to screen_ranks, in order."""
     batches = []
     screen = search.screen_ranks
 
@@ -133,9 +135,13 @@ def test_probe_batches_are_sorted_distinct_masks_of_one_order(monkeypatch):
         return screen(g, idx)
 
     monkeypatch.setattr(search, "screen_ranks", spy)
+    return batches
+
+
+def test_probe_batches_are_sorted_distinct_masks_of_one_order(screened):
     h0_probe(3, budget=6000, seed=11)
-    assert sum(map(len, batches)) == 6000
-    for idx in batches:
+    assert sum(map(len, screened)) == 6000
+    for idx in screened:
         assert 8 <= idx.shape[1] < 27
         assert (np.diff(idx, axis=1) > 0).all()
         assert idx.min() >= 0 and idx.max() < 36
@@ -146,18 +152,10 @@ def test_h0_probe_spends_exactly_its_budget(budget):
     assert h0_probe(3, budget=budget, seed=0).budget_used == budget
 
 
-def test_h0_probe_cuts_a_greedy_neighbourhood_at_the_budget(monkeypatch):
-    sizes = []
-    screen = search.screen_ranks
-
-    def spy(g, idx):
-        sizes.append(len(idx))
-        return screen(g, idx)
-
-    monkeypatch.setattr(search, "screen_ranks", spy)
-    # 80 uniform masks, then a neighbourhood of k (36 - k) >= 216 swaps cut to 20
+def test_h0_probe_cuts_a_greedy_neighbourhood_at_the_budget(screened):
+    # 80 uniform masks, then a neighbourhood of k (36 - k) >= 224 swaps cut to 20
     assert h0_probe(3, budget=100, seed=0).budget_used == 100
-    assert sizes == [80, 20]
+    assert list(map(len, screened)) == [80, 20]
 
 
 def reference_swaps(mask, size):
