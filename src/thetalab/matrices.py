@@ -6,12 +6,14 @@ those blocks are checked with exact integer arithmetic, never with
 floating-point eigensolvers: every multiplicity by an annihilating polynomial
 (`spectrum`), every rank by an entrywise identity such as B = N N^t =
 2^(g-1)(2^g I - M+).  `exact_rank`, batched elimination mod as many primes
-as the Hadamard bound needs, serves the search's submatrices, and
-`build_kernel_basis` gives the search a certified integer basis of ker B.
+as the Hadamard bound needs, serves the search's submatrices,
+`build_kernel_basis` gives the search a certified integer basis of ker B,
+and `build_kernel_form` its systematic form mod 2^31 - 1 for the probe's
+screen.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
-inside int64.
+inside int64, but for the systematic form's residues, below 2^31.
 """
 
 from __future__ import annotations
@@ -255,6 +257,16 @@ def build_B(g: int) -> np.ndarray:
     return _frozen(b)
 
 
+def leftmost_independent(mat, p: int) -> np.ndarray:
+    """Indices of the columns of the integer matrix mat that are independent
+    mod the prime p of the columns to their left, in increasing order: the
+    ranks mod p of the leading column blocks, one batch, and a column is
+    taken where the rank rises."""
+    a = np.asarray(mat, dtype=np.int64)
+    leading = np.tri(a.shape[1], dtype=np.int64)[:, None, :] * a
+    return np.flatnonzero(np.diff(batched_rank_mod_p(leading, p), prepend=0))
+
+
 @cache
 def build_kernel_basis(g: int) -> np.ndarray:
     """Integer basis G of ker B, shape (|K+|, d) with d = |K+| - (4^g - 1)/3:
@@ -272,16 +284,56 @@ def build_kernel_basis(g: int) -> np.ndarray:
     size = len(mp)
     d = size - (4**g - 1) // 3
     q = mp + 2 ** (g - 1) * np.eye(size, dtype=np.int64)
-    # ranks mod p of the leading column blocks of Q: a column joins G when it raises the rank
-    leading = np.tri(size, dtype=np.int64)[:, None, :] * q
-    cols = np.flatnonzero(np.diff(batched_rank_mod_p(leading, PRIMES[0]), prepend=0))
-    kernel = q[:, cols]
+    kernel = q[:, leftmost_independent(q, PRIMES[0])]
     _require_entrywise(b @ kernel, 0, f"B G = 0 for g={g}")
     if exact_rank(kernel) != d:
         raise VerificationError(f"the kernel basis of B for g={g} does not have rank {d}")
     if batched_rank_mod_p(b[None], PRIMES[0])[0] < size - d:
         raise VerificationError(f"rank B for g={g} is below {size - d} mod {PRIMES[0]}")
     return _frozen(kernel)
+
+
+def _inverse_mod_p(mat, p: int) -> np.ndarray:
+    """Inverse mod the prime p < 2^31 of a square integer matrix that is
+    invertible mod p, by Gauss-Jordan elimination on (mat | I); products
+    of two residues stay below 2^62."""
+    n = len(mat)
+    a = np.concatenate([np.asarray(mat, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        piv = col + np.flatnonzero(a[col:, col])[0]
+        a[[col, piv]] = a[[piv, col]]
+        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
+        factor = a[:, col].copy()
+        factor[col] = 0
+        a = (a - factor[:, None] * a[col]) % p
+    return a[:, n:]
+
+
+@cache
+def build_kernel_form(g: int):
+    """Systematic form of ker B mod PRIMES[0]: (F, rows), F = G T^-1 mod p
+    with G = build_kernel_basis(g), rows the leftmost d rows of G that are
+    independent mod p and T = G[rows].
+
+    F[rows] is the d x d identity, and F has the rank of G mod p on every
+    set of rows, since T is invertible mod p.  So for a set S with
+    complement R and c = |rows ∩ S|, rank_p G[R, :] = (d - c) +
+    rank_p F[R - rows, rows ∩ S]: the unit rows of R ∩ rows clear their
+    columns, and what is left is a block of at most (|K+| - d) x c.
+    Verified entrywise, else VerificationError: F[rows] = I and F T = G
+    mod p, whose products stay below d (2^(g-1) + 1) 2^31, inside int64.
+    """
+    kernel = build_kernel_basis(g)
+    p = PRIMES[0]
+    d = kernel.shape[1]
+    rows = leftmost_independent(kernel.T, p)
+    if len(rows) != d:
+        raise VerificationError(f"the kernel basis of B for g={g} has {len(rows)} rows independent mod {p}, not {d}")
+    t = kernel[rows]
+    form = kernel @ _inverse_mod_p(t, p) % p
+    _require_entrywise(form[rows], np.eye(d, dtype=np.int64), f"F[rows] = I for g={g}")
+    _require_entrywise((form @ t - kernel) % p, 0, f"F T = G mod {p} for g={g}")
+    return _frozen(form), _frozen(rows)
 
 
 def kron_multiplicities(g: int) -> dict:

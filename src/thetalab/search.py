@@ -1,22 +1,23 @@
 """Principal-submatrix rank search on B = N N^t.
 
 The target quantity is the smallest order k admitting a principal submatrix
-S with rank(S) <= k - 2^g.  Both genera rank a batch of same-order masks in
-one call (`submatrix_ranks`), of B[S, S] or of the smaller G[S^c, :], G the
-certified integer basis of ker B, since rank B[S, S] = k - d + rank G[S^c, :]
-for B positive semidefinite.  At g = 2 the 2^10 masks are scanned
-exhaustively, one batch of exact ranks per order.  At g = 3 the strictly-even
-submatrix gives a certified witness of order 27 and rank 19, the rank proved
-without elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the
+S with rank(S) <= k - 2^g.  B is positive semidefinite, so rank B[S, S] =
+k - d + rank G[S^c, :], G the certified integer basis of ker B, of d
+columns.  At g = 2 the 2^10 masks are scanned exhaustively, one batch of
+exact ranks per order, of B[S, S] or of the smaller G[S^c, :]
+(`submatrix_ranks`).  At g = 3 the strictly-even submatrix gives a
+certified witness of order 27 and rank 19, the rank proved without
+elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the
 spectrum certificate of L; orders <= 7 are certified infeasible by strict
 diagonal dominance; the remaining orders are probed by seeded randomized
 search: batches of uniform masks of one random order, each drawn as one
 array, then the single-swap neighbourhoods of the best masks.  The probe
-screens each batch with one elimination mod the prime 2^31 - 1
-(`screen_ranks`; the G form wins from order 17 on), a lower bound on the
-rational rank, so no true witness can be screened out; a candidate whose
-screened slack is <= 0 is confirmed with `exact_rank`.  Floating point is
-never involved.
+screens each batch mod the prime 2^31 - 1 through the systematic form of G
+(`screen_ranks`), one elimination of a small block per value of
+c = |I ∩ S|, I the d rows on which that form is the identity.  That is a
+lower bound on the rational rank, so no true witness can be screened out;
+a candidate whose screened slack is <= 0 is confirmed with `exact_rank`.
+Floating point is never involved.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import numpy as np
 
 from .characteristics import generator_permutations, kplus_positions, odd_mask
 from .errors import VerificationError
-from .matrices import PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, exact_rank
+from .matrices import (
+    PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, build_kernel_form, exact_rank,
+)
 
 MOD_P = PRIMES[0]  # 2^31 - 1
 
@@ -68,27 +71,26 @@ class SearchReport:
         }
 
 
-def submatrix_ranks(g: int, idx, rank) -> np.ndarray:
-    """The ranks of the principal submatrices B[S, S], one for each row S of
-    the (n, k) index array idx, by one call of rank on a batch of integer
-    matrices.
+def submatrix_ranks(g: int, idx) -> np.ndarray:
+    """The exact ranks of the principal submatrices B[S, S], one for each
+    row S of the (n, k) index array idx, by one batch of exact_rank.
 
     B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
     zeros off S, lies in ker B; with G = build_kernel_basis(g), of d
     columns, that gives rank B[S, S] = k - d + rank G[S^c, :].  The batch is
-    handed to rank in whichever form is cheaper, min(r, c)^2 max(r, c) for
-    an r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].
+    ranked in whichever form is cheaper, min(r, c)^2 max(r, c) for an
+    r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].
     """
     b = build_B(g)
     kernel = build_kernel_basis(g)
     n, k = idx.shape
     r, d = len(b) - k, kernel.shape[1]
     if k**3 <= min(r, d) ** 2 * max(r, d):
-        return rank(b[idx[:, :, None], idx[:, None, :]])
+        return exact_rank(b[idx[:, :, None], idx[:, None, :]])
     outside = np.ones((n, len(b)), dtype=bool)
     outside[np.arange(n)[:, None], idx] = False
     rest = np.nonzero(outside)[1].reshape(n, r)
-    return k - d + rank(kernel[rest])
+    return k - d + exact_rank(kernel[rest])
 
 
 def h0_exhaustive(g: int = 2) -> SearchReport:
@@ -104,7 +106,7 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
     witnesses = []
     for k in range(1, kp + 1):
         idx = np.array(list(combinations(range(kp), k)))
-        ranks = submatrix_ranks(g, idx, exact_rank)
+        ranks = submatrix_ranks(g, idx)
         min_rank[k] = int(ranks.min())
         if not witnesses:
             witnesses = [tuple(mask) for mask in idx[ranks <= k - need].tolist()]
@@ -133,10 +135,30 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
 
 def screen_ranks(g: int, idx) -> np.ndarray:
     """Lower bounds on the rational ranks of the principal submatrices
-    B[S, S], one for each row S of the (n, k) index array idx: submatrix_ranks
-    by one elimination mod MOD_P, which in either form is at most the
-    rational rank."""
-    return submatrix_ranks(g, idx, lambda mats: batched_rank_mod_p(mats, MOD_P))
+    B[S, S], one for each row S of the (n, k) index array idx: k - d +
+    rank G[S^c, :] with the rank of G taken mod MOD_P, through the
+    systematic form (F, rows) = build_kernel_form(g).
+
+    With c = |rows ∩ S|, rank_p G[S^c, :] = (d - c) + rank_p F[S^c - rows,
+    rows ∩ S], so rank B[S, S] is at least k - c plus the rank of that
+    (|K+| - k - d + c) x c block.  Masks of one c give blocks of one shape,
+    so each value of c is one batched_rank_mod_p call.
+    """
+    form, rows = build_kernel_form(g)
+    n, k = idx.shape
+    inside = np.zeros((n, len(form)), dtype=bool)
+    inside[np.arange(n)[:, None], idx] = True
+    chosen = inside[:, rows]  # rows ∩ S, as columns of F
+    rest = ~inside
+    rest[:, rows] = False  # S^c - rows, as rows of F
+    counts = chosen.sum(axis=1)
+    ranks = k - counts
+    for c in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == c)
+        cols = np.nonzero(chosen[group])[1].reshape(len(group), c)
+        keep = np.nonzero(rest[group])[1].reshape(len(group), -1)
+        ranks[group] += batched_rank_mod_p(form[keep[:, :, None], cols[:, None, :]], MOD_P)
+    return ranks
 
 
 def sample_masks(rng, orders, size: int, m: int) -> np.ndarray:

@@ -23,10 +23,12 @@ from thetalab.matrices import (
     build_L,
     build_M,
     build_kernel_basis,
+    build_kernel_form,
     exact_rank,
     export_json,
     fay_multiplicities,
     kron_multiplicities,
+    leftmost_independent,
     spectrum,
     split_blocks,
     verify_fay_spectrum,
@@ -158,7 +160,7 @@ def test_kernel_basis_screen_matches_exact_rank_at_every_order():
         idx = np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
         assert screen_ranks(3, idx).tolist() == want.tolist()
-        # rank B[S, S] = k - d + rank G[S^c, :] whichever form the screen picks
+        # rank B[S, S] = k - d + rank G[S^c, :], the identity the screen ranks by
         rest = np.array([np.setdiff1d(np.arange(36), s) for s in idx])
         assert (k - 15 + exact_rank(kernel[rest])).tolist() == want.tolist()
 
@@ -198,6 +200,48 @@ def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_ker
     monkeypatch.setattr(matrices, "build_B", lambda g: np.zeros((36, 36), dtype=np.int64))
     with pytest.raises(VerificationError, match="rank B for g=3 is below 21"):
         build_kernel_basis(3)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernel_form_is_the_systematic_form_of_G(g):
+    form, rows = build_kernel_form(g)
+    kernel = build_kernel_basis(g)
+    p = PRIMES[0]
+    assert form.shape == kernel.shape and 0 <= form.min() and form.max() < p
+    assert np.array_equal(form[rows], np.eye(kernel.shape[1], dtype=np.int64))
+    assert not ((form @ kernel[rows] - kernel) % p).any()
+    # rows are the leftmost rows of G independent mod p: each other row lies
+    # in the span of the rows of G above it
+    for i in range(len(kernel)):
+        above = rows[rows < i]
+        assert (i in rows) == (batched_rank_mod_p(kernel[None, : i + 1], p)[0] > len(above))
+
+
+@pytest.fixture
+def fresh_kernel_form():
+    build_kernel_form.cache_clear()
+    yield
+    build_kernel_form.cache_clear()
+
+
+def test_kernel_form_refuses_a_wrong_inverse(monkeypatch, fresh_kernel_form):
+    monkeypatch.setattr(matrices, "_inverse_mod_p", lambda mat, p: np.eye(len(mat), dtype=np.int64))
+    with pytest.raises(VerificationError, match="F\\[rows\\] = I for g=3 fails"):
+        build_kernel_form(3)
+
+
+def test_kernel_form_refuses_too_few_independent_rows(monkeypatch, fresh_kernel_form):
+    build_kernel_basis(3)
+    monkeypatch.setattr(matrices, "leftmost_independent", lambda mat, p: np.arange(14))
+    with pytest.raises(VerificationError, match="has 14 rows independent"):
+        build_kernel_form(3)
+
+
+def test_leftmost_independent_columns():
+    mat = np.array([[0, 1, 2, 0, 1], [0, 0, 0, 1, 1]])
+    assert leftmost_independent(mat, PRIMES[0]).tolist() == [1, 3]
+    assert leftmost_independent(mat, 2).tolist() == [1, 3]
+    assert leftmost_independent(np.zeros((2, 3), dtype=np.int64), 7).tolist() == []
 
 
 def test_eigen_multiplicity_diag():
@@ -524,11 +568,13 @@ def test_matrices_are_built_once_per_genus():
     assert build_L(3) is build_L(3)
     assert build_Bk(3)[0] is build_Bk(3)[0]
     assert build_kernel_basis(3) is build_kernel_basis(3)
+    assert build_kernel_form(3)[0] is build_kernel_form(3)[0]
 
 
 def _cached_matrices(g):
     m = build_M(g)
-    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], build_kernel_basis(g)]
+    kernel, form = build_kernel_basis(g), build_kernel_form(g)[0]
+    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], kernel, form]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -544,9 +590,13 @@ def test_cached_matrices_are_read_only(g):
     after = _cached_matrices(g)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
     # the cached values still satisfy the verified identities
-    m, mp, _, n, b, l, bk, kernel = after
+    m, mp, _, n, b, l, bk, kernel, form = after
     assert np.array_equal(m @ m, 4**g * np.eye(4**g, dtype=np.int64))
     assert np.array_equal(b, n @ n.T)
     assert np.array_equal(b, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
     assert np.array_equal(bk, 2 ** (g - 1) * (2**g * np.eye(3**g, dtype=np.int64) - l))
     assert not (b @ kernel).any()
+    rows = build_kernel_form(g)[1]
+    with pytest.raises(ValueError):
+        rows[0] = 7
+    assert not ((form @ kernel[rows] - kernel) % PRIMES[0]).any()

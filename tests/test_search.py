@@ -9,14 +9,16 @@ from hypothesis.extra.numpy import arrays
 
 from thetalab import search
 from thetalab.errors import VerificationError
-from thetalab.matrices import build_B, build_Bk, exact_rank
+from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, exact_rank
 from thetalab.search import (
+    MOD_P,
     canonicalize_mask,
     _perm_action_on_kplus,
     h0_exhaustive,
     h0_probe,
     least_slack,
     sample_masks,
+    screen_ranks,
     submatrix_ranks,
     swap_neighbours,
 )
@@ -89,9 +91,10 @@ PROBE_NOTES = [
     ],
 )
 def test_h0_probe_output_pinned(budget, seed, min_rank):
-    # the screened ranks mod 2^31 - 1 do not depend on the pivot order or on
-    # the form submatrix_ranks eliminates, so these literals follow the
-    # seeded draws alone: the masks sampled and the swaps tried
+    # the screened ranks are ranks of G[S^c, :] mod 2^31 - 1, which do not
+    # depend on the pivot order or on the basis of ker B they are taken in,
+    # so these literals follow the seeded draws alone: the masks sampled and
+    # the swaps tried
     assert h0_probe(3, budget=budget, seed=seed).to_json() == {
         "g": 3,
         "exhaustive": False,
@@ -204,7 +207,52 @@ def test_submatrix_ranks_agree_in_both_forms_at_g2():
     for k in range(1, 11):
         idx = np.array(list(combinations(range(10), k)))
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
-        assert submatrix_ranks(2, idx, exact_rank).tolist() == want.tolist()
+        assert submatrix_ranks(2, idx).tolist() == want.tolist()
+
+
+def test_screen_ranks_are_exact_on_every_g2_mask():
+    # all 1023 masks: every c = |rows ∩ S| from 0 to 5, and empty blocks at k = 10
+    for k in range(1, 11):
+        idx = np.array(list(combinations(range(10), k)))
+        assert screen_ranks(2, idx).tolist() == submatrix_ranks(2, idx).tolist()
+
+
+def two_form_screen(idx):
+    """The genus-3 screen before the systematic form: B[S, S] up to order 16,
+    k - 15 + rank G[S^c, :] from order 17 on, ranked mod 2^31 - 1."""
+    b, kernel = build_B(3), build_kernel_basis(3)
+    n, k = idx.shape
+    if k <= 16:
+        return batched_rank_mod_p(b[idx[:, :, None], idx[:, None, :]], MOD_P)
+    rest = np.array([np.setdiff1d(np.arange(36), mask) for mask in idx]).reshape(n, 36 - k)
+    return k - 15 + batched_rank_mod_p(kernel[rest], MOD_P)
+
+
+def test_screen_ranks_match_the_two_form_screen_at_g3():
+    rng = np.random.default_rng(12)
+    for k in range(8, 28):
+        idx = sample_masks(rng, [k], 36, 300)
+        assert screen_ranks(3, idx).tolist() == two_form_screen(idx).tolist()
+    for k in (8, 13, 16, 17, 21, 26):
+        swaps = swap_neighbours(sample_masks(rng, [k], 36, 1)[0], 36)
+        assert screen_ranks(3, swaps).tolist() == two_form_screen(swaps).tolist()
+
+
+def test_screen_ranks_are_exact_on_rank_deficient_masks():
+    # the B_k witness (order 27, rank 19), subsets of it of orders 20-26 and
+    # the witness plus one index
+    b = build_B(3)
+    sel = np.sort(build_Bk(3)[1])
+    rng = np.random.default_rng(13)
+    subsets = [np.sort(rng.choice(sel, size=k, replace=False)) for k in range(20, 27) for _ in range(3)]
+    bigger = [np.sort(np.append(sel, i)) for i in np.setdiff1d(np.arange(36), sel)]
+    for mask in [sel, *subsets, *bigger]:
+        assert screen_ranks(3, mask[None]).tolist() == [exact_rank(b[np.ix_(mask, mask)])]
+    assert screen_ranks(3, sel[None]).tolist() == [19]
+
+
+def test_screen_ranks_of_an_empty_batch():
+    assert screen_ranks(3, np.zeros((0, 12), dtype=np.int64)).shape == (0,)
 
 
 def test_canonicalize_mask_greedy_minimization():
