@@ -328,7 +328,9 @@ def build_kernel_form(g: int):
     d = kernel.shape[1]
     rows = leftmost_independent(kernel.T, p)
     if len(rows) != d:
-        raise VerificationError(f"the kernel basis of B for g={g} has {len(rows)} rows independent mod {p}, not {d}")
+        raise VerificationError(
+            f"the kernel basis of B for g={g} has {len(rows)} rows independent mod {p}, not {d}"
+        )
     t = kernel[rows]
     form = kernel @ _inverse_mod_p(t, p) % p
     _require_entrywise(form[rows], np.eye(d, dtype=np.int64), f"F[rows] = I for g={g}")
