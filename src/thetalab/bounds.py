@@ -9,8 +9,7 @@ fractional bound is floored and flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
@@ -42,14 +41,7 @@ class BoundRow:
     floored: bool = False
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "source": self.source,
-            "status": self.status,
-            "value": self.value,
-            "applicable": self.applicable,
-            "floored": self.floored,
-        }
+        return asdict(self)
 
 
 def evaluate_bounds(g: int, n: int, assume_simple: bool = False):
@@ -78,15 +70,15 @@ def evaluate_bounds(g: int, n: int, assume_simple: bool = False):
                 True,
             )
         )
-        frac = Fraction(7**g - 1, 3**g - 1)
+        ratio, rest = divmod(7**g - 1, 3**g - 1)
         rows.append(
             BoundRow(
                 "section-ratio",
                 "eigenspace dimension ratio bound",
                 THEOREM,
-                4**g - (frac.numerator // frac.denominator),
+                4**g - ratio,
                 True,
-                floored=frac.denominator != 1,
+                floored=rest != 0,
             )
         )
         rows.append(
@@ -164,19 +156,9 @@ def decomposable_bound(blocks, n: int) -> int:
     g = sum(blocks)
     _check_digits(g, n)
     if n == 2:
-        prod = Fraction(1)
-        for b in blocks:
-            prod *= Fraction(b, 2) + 1
-        val = 4**g - (2**g) * prod
-    else:
-        prod = 1
-        for b in blocks:
-            prod *= b + 1
-        val = n ** (2 * g) - n**g * prod
-    val = Fraction(val)
-    if val.denominator != 1:
-        raise ArithmeticError("decomposable bound is not an integer")
-    return int(val)
+        # 2^g prod(b_i/2 + 1) = prod 2^(b_i - 1) (b_i + 2), an integer
+        return 4**g - math.prod(2 ** (b - 1) * (b + 2) for b in blocks)
+    return n ** (2 * g) - n**g * math.prod(b + 1 for b in blocks)
 
 
 def compare(theta_n: int, rows):

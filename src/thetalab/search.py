@@ -11,7 +11,8 @@ elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the
 spectrum certificate of L; orders <= 7 are certified infeasible by strict
 diagonal dominance; the remaining orders are probed by seeded randomized
 search: batches of uniform masks of one random order, each drawn as one
-array, then the single-swap neighbourhoods of the best masks.  The probe
+array, then the single-swap neighbourhoods of the best masks, each mask
+swapped from at most once (restarts are deduplicated by mask).  The probe
 screens each batch mod the prime 2^31 - 1 through the systematic form of G
 (`screen_ranks`), one elimination of a small block per value of
 c = |I ∩ S|, I the d rows on which that form is the identity.  That is a
@@ -23,12 +24,10 @@ Floating point is never involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .characteristics import generator_permutations, kplus_positions, odd_mask
 from .errors import VerificationError
 from .matrices import (
     PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, build_kernel_form, exact_rank,
@@ -191,30 +190,6 @@ def least_slack(slack, masks) -> tuple:
     return int(low), tuple(ties[np.lexsort(ties.T[::-1])[0]].tolist())
 
 
-@cache
-def _perm_action_on_kplus(g: int) -> tuple:
-    """Permutations of the K_g^+ index set induced by the symplectic generators:
-    generator_permutations(g) restricted to the even characteristics, which
-    the action preserves.  Tuples of ints, for element-wise indexing."""
-    even = np.flatnonzero(~odd_mask(g))
-    return tuple(map(tuple, kplus_positions(g, generator_permutations(g)[:, even]).tolist()))
-
-
-def canonicalize_mask(indices, perms):
-    """Greedy lexicographic minimization of a mask under generator
-    permutations (a partial canonical form, used only for deduplication)."""
-    best = tuple(sorted(indices))
-    improved = True
-    while improved:
-        improved = False
-        for perm in perms:
-            cand = tuple(sorted(perm[i] for i in best))
-            if cand < best:
-                best = cand
-                improved = True
-    return best
-
-
 def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport:
     """Randomized refutation probe at g = 3.
 
@@ -266,8 +241,7 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     orders = np.arange(need, report.h0_upper)
     used = 0
     best = {}  # order -> (slack, mask)
-    perms = _perm_action_on_kplus(g)
-    seen = set()
+    seen = set()  # the masks already swapped from
 
     def eval_batch(masks):
         """Screen one (n, k) batch of sorted masks; best[k] keeps the least
@@ -292,10 +266,9 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
                     f"witness of order {k} found: exact rank {confirm}"
                 )
 
-    # uniform phase: no canonicalization (dedup gain is nil against a mask
-    # space orders of magnitude larger than the budget, and the greedy
-    # minimization would dominate the runtime).  It spends at least one
-    # mask, so the greedy phase has a start even at budget 1.
+    # uniform phase: no dedup, since the mask space is orders of magnitude
+    # larger than the budget.  It spends at least one mask, so the greedy
+    # phase has a start even at budget 1.
     sample_budget = max(1, int(budget * 0.8))
     batch = 4096
 
@@ -306,20 +279,18 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     while used < sample_budget:
         sample(sample_budget)
 
-    # greedy swap refinement from the most promising masks per order;
-    # canonicalization dedups restart seeds that land in an explored orbit
+    # greedy swap refinement from the best mask of the best order; a mask
+    # already swapped from, or a neighbourhood that lowers no slack, is
+    # followed by a random restart through the sampler
     while used < budget:
         start_order = min(best, key=lambda k: (best[k][0], k))
         slack0, mask0 = best[start_order]
-        canon = canonicalize_mask(mask0, perms)
-        if canon in seen:
-            sample(budget)
-            continue
-        seen.add(canon)
-        eval_batch(swap_neighbours(mask0, kp)[: budget - used])
-        if best[start_order][0] >= slack0:
-            # plateau: random restart consumes budget through the sampler
-            sample(budget)
+        if mask0 not in seen:
+            seen.add(mask0)
+            eval_batch(swap_neighbours(mask0, kp)[: budget - used])
+            if best[start_order][0] < slack0:
+                continue
+        sample(budget)
 
     report.budget_used = used
     for k, (slack, _mask) in sorted(best.items()):

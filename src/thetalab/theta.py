@@ -178,6 +178,8 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     z = np.asarray(z, dtype=complex)
     if z.shape != (g,):
         raise ValueError(f"dimensions differ: z has shape {z.shape}, tau has genus {g}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"z must be finite, got {z}")
 
     # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
     p = np.linalg.solve(tau.im, z.imag)
@@ -186,9 +188,12 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     s_one = np.floor(q + 0.5).astype(np.int64)
     z_red = z - tau.mat @ s_tau - s_one
     # theta(z) = base e((a.s_one - s_tau.b)/n) theta(z_red) for characteristic (a, b)
-    base = np.exp(-1j * math.pi * (s_tau @ tau.mat @ s_tau) - 2j * math.pi * (s_tau @ z_red))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.exp(-1j * math.pi * (s_tau @ tau.mat @ s_tau) - 2j * math.pi * (s_tau @ z_red))
     if base == 0:
         raise ThetaLabError("quasi-periodicity factor underflowed to zero")
+    if not np.isfinite(base):
+        raise ThetaLabError("quasi-periodicity factor overflowed")
 
     lam, c, scale = tau.lam_min, float(np.linalg.norm(z_red.imag)), abs(base)
     low, radius, tail = -1, RADIUS_CAP, _series_tail(lam, c, RADIUS_CAP, g)
@@ -478,7 +483,10 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
     y = np.asarray(y, dtype=complex)
     table = theta_table(tau, 2 * y, 2, tol)
-    flags = classify_magnitudes(np.abs(table.values), table.tail_bound)
+    mags = np.abs(table.values)
+    if not np.isfinite(mags).all():
+        raise ThetaLabError("theta table holds non-finite values")
+    flags = classify_magnitudes(mags, table.tail_bound)
     return int((~flags).sum())
 
 
@@ -489,7 +497,9 @@ def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
       = sum_sigma (-1)^{<2e,2sigma>} theta[s;0](2tau,2z) theta[d+s;0](2tau,2z)
 
     over all 4^g half-integer characteristics [d; e], with sigma running over
-    half-integer vectors; each of the three tables is evaluated once.
+    half-integer vectors; each of the three tables is evaluated once.  Each
+    residual is relative to 1 + the largest of |lhs| and the sigma terms,
+    so cancellation in the sigma sum does not read as error.
     """
     g = tau.g
     z = np.asarray(z, dtype=complex)
@@ -501,11 +511,9 @@ def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
     for i in range(4**g):
         a, b = i >> g, i & (2**g - 1)
         lhs = at0[i] * at2z[i]
-        rhs = 0j
-        for s in range(2**g):
-            sign = (-1) ** bin(b & s).count("1")
-            rhs += sign * at2tau[s] * at2tau[a ^ s]
-        worst = max(worst, abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs))))
+        terms = [(-1) ** bin(b & s).count("1") * at2tau[s] * at2tau[a ^ s] for s in range(2**g)]
+        rhs = sum(terms)
+        worst = max(worst, abs(lhs - rhs) / (1 + max(abs(lhs), *map(abs, terms))))
     return worst
 
 

@@ -12,6 +12,7 @@ from thetalab.characteristics import (
     count_parity,
     enumerate_characteristics,
     generator_permutations,
+    kplus_positions,
     odd_mask,
     orbits,
     symplectic_generators,
@@ -290,6 +291,14 @@ def test_generator_permutations_match_act(g):
         assert sorted(row) == list(range(4**g))
         assert [int(act(gamma, c)) for c in range(4**g)] == row
         assert [parity(rows[j]) for j in row] == [parity(r) for r in rows]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_generator_permutations_permute_kplus_positions(g):
+    # restricted to the even characteristics, each generator permutes K_g^+
+    even = np.flatnonzero(~odd_mask(g))
+    for row in kplus_positions(g, generator_permutations(g)[:, even]).tolist():
+        assert sorted(row) == list(range(len(even)))
 
 
 def test_generator_permutations_shared_and_read_only():

@@ -12,8 +12,6 @@ from thetalab.errors import VerificationError
 from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, exact_rank
 from thetalab.search import (
     MOD_P,
-    canonicalize_mask,
-    _perm_action_on_kplus,
     h0_exhaustive,
     h0_probe,
     least_slack,
@@ -161,6 +159,21 @@ def test_h0_probe_cuts_a_greedy_neighbourhood_at_the_budget(screened):
     assert list(map(len, screened)) == [80, 20]
 
 
+def test_h0_probe_swaps_from_each_mask_once(monkeypatch):
+    # at this budget and seed the best mask often survives a restart's
+    # uniform batch, and without the dedup the probe swaps from it again
+    swapped = []
+
+    def spy(mask, size):
+        swapped.append(tuple(mask))
+        return swap_neighbours(mask, size)
+
+    monkeypatch.setattr(search, "swap_neighbours", spy)
+    h0_probe(3, budget=100_000, seed=3)
+    assert len(swapped) >= 2
+    assert len(set(swapped)) == len(swapped)
+
+
 def reference_swaps(mask, size):
     """The single swaps of a sorted mask as the per-neighbour loop built
     them: by position, then by replacement index."""
@@ -253,21 +266,6 @@ def test_screen_ranks_are_exact_on_rank_deficient_masks():
 
 def test_screen_ranks_of_an_empty_batch():
     assert screen_ranks(3, np.zeros((0, 12), dtype=np.int64)).shape == (0,)
-
-
-def test_canonicalize_mask_greedy_minimization():
-    perms = _perm_action_on_kplus(3)
-    mask = (7, 11, 20, 23)
-    canon = canonicalize_mask(mask, perms)
-    # idempotent, never larger than the input, stays in the orbit closure
-    assert canonicalize_mask(canon, perms) == canon
-    assert canon <= tuple(sorted(mask))
-    assert len(canon) == len(mask)
-
-
-def test_perm_action_preserves_index_set():
-    for perm in _perm_action_on_kplus(3):
-        assert sorted(perm) == list(range(36))
 
 
 def test_h0_exhaustive_g2():

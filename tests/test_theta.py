@@ -16,11 +16,13 @@ from thetalab.characteristics import (
     enumerate_characteristics,
     symplectic_generators,
 )
-from thetalab.errors import AmbiguousVanishingError, RadiusCapError
+from thetalab import theta
+from thetalab.errors import AmbiguousVanishingError, RadiusCapError, ThetaLabError
 from thetalab.theta import (
     CHUNK_POINTS,
     MAX_BOX_POINTS,
     PeriodMatrix,
+    ThetaValues,
     _series_tail,
     addition_residual,
     classify_magnitudes,
@@ -172,6 +174,29 @@ def test_theta_table_rejects_wrong_genus():
 def test_callers_of_theta_table_reject_wrong_genus(evaluate, shape):
     with pytest.raises(ValueError, match="dimensions differ"):
         evaluate(random_tau(2, 3), np.full(shape, 0.1 + 0.05j))
+
+
+@pytest.mark.parametrize("z", [[np.nan, 0], [0, 1j * np.inf]])
+def test_theta_table_refuses_a_non_finite_z(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        theta_table(random_tau(2, 0), z, 2)
+
+
+@pytest.mark.parametrize(
+    "z,error,match",
+    [([np.nan, 0], ValueError, "z must be finite"), ([0, 100j], ThetaLabError, "overflowed")],
+)
+@pytest.mark.parametrize("evaluate", [m_count, addition_residual, fay_relation_residual])
+def test_callers_of_theta_table_refuse_a_non_finite_or_overflowing_z(evaluate, z, error, match):
+    # at z = [0, 100j] the quasi-periodicity factor exceeds the float range
+    with pytest.raises(error, match=match):
+        evaluate(random_tau(2, 0), z)
+
+
+def test_m_count_refuses_non_finite_magnitudes(monkeypatch):
+    monkeypatch.setattr(theta, "theta_table", lambda *args: ThetaValues(np.full(16, np.inf + 0j), 0.0, 0))
+    with pytest.raises(ThetaLabError, match="non-finite"):
+        m_count(random_tau(2, 0), np.zeros(2))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
@@ -531,6 +556,12 @@ def test_addition_residual_small():
     z = np.array([0.11, 0.07]) + 1j * np.array([0.03, -0.02])
     # the largest residual over all 16 characteristics
     assert addition_residual(tau, z) < 1e-10
+
+
+def test_addition_residual_small_at_larger_imaginary_z():
+    # the sigma terms far exceed their sum at this z, so a residual relative
+    # to the sum would read cancellation as error
+    assert addition_residual(random_tau(2, 0), [0, 2j]) < 1e-10
 
 
 def test_fay_residual_small():
