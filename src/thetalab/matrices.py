@@ -7,9 +7,10 @@ floating-point eigensolvers: every multiplicity by an annihilating polynomial
 (`spectrum`), every rank by an entrywise identity such as B = N N^t =
 2^(g-1)(2^g I - M+).  `exact_rank`, batched elimination mod as many primes
 as the Hadamard bound needs, serves the search's submatrices,
-`build_kernel_basis` gives the search a certified integer basis of ker B,
-and `build_kernel_form` its systematic form mod 2^31 - 1 for the probe's
-screen.
+`build_kernel_projector` gives the search Q = M+ + 2^(g-1) I, a multiple of
+the projector onto ker B certified by M+'s spectrum, and
+`build_kernel_form` the systematic form of ker B mod 2^31 - 1 for the
+probe's screen, from one elimination of Q.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
@@ -257,84 +258,69 @@ def build_B(g: int) -> np.ndarray:
     return _frozen(b)
 
 
-def leftmost_independent(mat, p: int) -> np.ndarray:
-    """Indices of the columns of the integer matrix mat that are independent
-    mod the prime p of the columns to their left, in increasing order: the
-    ranks mod p of the leading column blocks, one batch, and a column is
-    taken where the rank rises."""
-    a = np.asarray(mat, dtype=np.int64)
-    leading = np.tri(a.shape[1], dtype=np.int64)[:, None, :] * a
-    return np.flatnonzero(np.diff(batched_rank_mod_p(leading, p), prepend=0))
-
-
 @cache
-def build_kernel_basis(g: int) -> np.ndarray:
-    """Integer basis G of ker B, shape (|K+|, d) with d = |K+| - (4^g - 1)/3:
-    the leftmost d independent columns of Q = M+ + 2^(g-1) I, entries of at
-    most 2^(g-1) + 1.
+def build_kernel_projector(g: int):
+    """(Q, d): Q = M+ + 2^(g-1) I, lambda = 3 * 2^(g-1) times the orthogonal
+    projector onto ker B, and d = dim ker B = |K+| - (4^g - 1)/3.
 
-    B + 2^(g-1) Q = 3 * 4^(g-1) I, so Q is the 2^g-eigenprojector of M+ up
-    to a scalar.  The certificate, else VerificationError: B G = 0 entrywise
-    and exact_rank(G) = d put d independent vectors in ker B, and a rank of
-    B mod PRIMES[0] of at least (4^g - 1)/3 (a lower bound on its rational
-    rank) leaves ker B no room for more.
+    build_B's identity B = 2^(g-1)(2^g I - M+) makes ker B the
+    2^g-eigenspace of M+.  `spectrum` certifies (M+ - 2^g I)(M+ + 2^(g-1) I)
+    = 0, which is Q^2 = lambda Q and B Q = 0: Q is lambda on that eigenspace
+    and 0 on the other, so its columns span ker B, and d is the
+    multiplicity of 2^g.  Every diagonal entry of Q is 2^(g-1) + 1 and every
+    other entry is +-1.
     """
-    b = build_B(g)
+    build_B(g)  # certifies B = 2^(g-1)(2^g I - M+)
     mp = split_blocks(build_M(g))[0]
-    size = len(mp)
-    d = size - (4**g - 1) // 3
-    q = mp + 2 ** (g - 1) * np.eye(size, dtype=np.int64)
-    kernel = q[:, leftmost_independent(q, PRIMES[0])]
-    _require_entrywise(b @ kernel, 0, f"B G = 0 for g={g}")
-    if exact_rank(kernel) != d:
-        raise VerificationError(f"the kernel basis of B for g={g} does not have rank {d}")
-    if batched_rank_mod_p(b[None], PRIMES[0])[0] < size - d:
-        raise VerificationError(f"rank B for g={g} is below {size - d} mod {PRIMES[0]}")
-    return _frozen(kernel)
+    d = spectrum(mp, fay_multiplicities(g)["M+"])[2**g]
+    return _frozen(mp + 2 ** (g - 1) * np.eye(len(mp), dtype=np.int64)), d
 
 
-def _inverse_mod_p(mat, p: int) -> np.ndarray:
-    """Inverse mod the prime p < 2^31 of a square integer matrix that is
-    invertible mod p, by Gauss-Jordan elimination on (mat | I); products
-    of two residues stay below 2^62."""
-    n = len(mat)
-    a = np.concatenate([np.asarray(mat, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        piv = col + np.flatnonzero(a[col:, col])[0]
-        a[[col, piv]] = a[[piv, col]]
-        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
-        factor = a[:, col].copy()
-        factor[col] = 0
-        a = (a - factor[:, None] * a[col]) % p
-    return a[:, n:]
+def _row_echelon_mod_p(mat, p: int):
+    """(R, pivots): the reduced row echelon form mod the prime p < 2^31 of an
+    integer matrix, by one Gauss-Jordan pass, and its pivot columns in
+    increasing order; products of two residues stay below 2^62."""
+    r = np.asarray(mat, dtype=np.int64) % p
+    pivots = []
+    for col in range(r.shape[1]):
+        row = len(pivots)
+        nonzero = np.flatnonzero(r[row:, col])
+        if not len(nonzero):
+            continue
+        r[[row, row + nonzero[0]]] = r[[row + nonzero[0], row]]
+        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
+        factor = r[:, col].copy()
+        factor[row] = 0
+        r = (r - factor[:, None] * r[row]) % p
+        pivots.append(col)
+    return r, np.array(pivots, dtype=np.int64)
 
 
 @cache
 def build_kernel_form(g: int):
     """Systematic form of ker B mod PRIMES[0]: (F, rows), F = G T^-1 mod p
-    with G = build_kernel_basis(g), rows the leftmost d rows of G that are
-    independent mod p and T = G[rows].
+    with (Q, d) = build_kernel_projector(g), rows the leftmost d columns of
+    Q independent mod p, G = Q[:, rows] and T = Q[rows, rows].
 
-    F[rows] is the d x d identity, and F has the rank of G mod p on every
-    set of rows, since T is invertible mod p.  So for a set S with
-    complement R and c = |rows ∩ S|, rank_p G[R, :] = (d - c) +
-    rank_p F[R - rows, rows ∩ S]: the unit rows of R ∩ rows clear their
-    columns, and what is left is a block of at most (|K+| - d) x c.
-    Verified entrywise, else VerificationError: F[rows] = I and F T = G
-    mod p, whose products stay below d (2^(g-1) + 1) 2^31, inside int64.
+    Q is symmetric, so F is the transpose of the first d rows of Q's
+    reduced row echelon form mod p, T^-1 Q[rows, :], and rows are its
+    pivots: one elimination.  G is a basis of ker B, F[rows] is the d x d
+    identity, and F has the rank of G mod p on every set of rows, since T
+    is invertible mod p.  So for a set S with complement R and c =
+    |rows ∩ S|, rank_p G[R, :] = (d - c) + rank_p F[R - rows, rows ∩ S]:
+    the unit rows of R ∩ rows clear their columns, and what is left is a
+    block of at most (|K+| - d) x c.  Verified, else VerificationError: d
+    pivots, and entrywise F[rows] = I and F T = G mod p, whose products
+    stay below d (2^(g-1) + 1) 2^31, inside int64.
     """
-    kernel = build_kernel_basis(g)
+    q, d = build_kernel_projector(g)
     p = PRIMES[0]
-    d = kernel.shape[1]
-    rows = leftmost_independent(kernel.T, p)
+    echelon, rows = _row_echelon_mod_p(q, p)
     if len(rows) != d:
-        raise VerificationError(
-            f"the kernel basis of B for g={g} has {len(rows)} rows independent mod {p}, not {d}"
-        )
-    t = kernel[rows]
-    form = kernel @ _inverse_mod_p(t, p) % p
+        raise VerificationError(f"Q for g={g} has {len(rows)} pivots mod {p}, not {d}")
+    form = np.ascontiguousarray(echelon[:d].T)
     _require_entrywise(form[rows], np.eye(d, dtype=np.int64), f"F[rows] = I for g={g}")
-    _require_entrywise((form @ t - kernel) % p, 0, f"F T = G mod {p} for g={g}")
+    _require_entrywise((form @ q[np.ix_(rows, rows)] - q[:, rows]) % p, 0, f"F T = G mod {p} for g={g}")
     return _frozen(form), _frozen(rows)
 
 

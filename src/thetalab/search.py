@@ -2,23 +2,24 @@
 
 The target quantity is the smallest order k admitting a principal submatrix
 S with rank(S) <= k - 2^g.  B is positive semidefinite, so rank B[S, S] =
-k - d + rank G[S^c, :], G the certified integer basis of ker B, of d
-columns.  At g = 2 the 2^10 masks are scanned exhaustively, one batch of
-exact ranks per order, of B[S, S] or of the smaller G[S^c, :]
-(`submatrix_ranks`).  At g = 3 the strictly-even submatrix gives a
-certified witness of order 27 and rank 19, the rank proved without
-elimination by build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the
-spectrum certificate of L; orders <= 7 are certified infeasible by strict
-diagonal dominance; the remaining orders are probed by seeded randomized
-search: batches of uniform masks of one random order, each drawn as one
-array, then the single-swap neighbourhoods of the best masks, each mask
-swapped from at most once (restarts are deduplicated by mask).  The probe
-screens each batch mod the prime 2^31 - 1 through the systematic form of G
-(`screen_ranks`), one elimination of a small block per value of
-c = |I ∩ S|, I the d rows on which that form is the identity.  That is a
-lower bound on the rational rank, so no true witness can be screened out;
-a candidate whose screened slack is <= 0 is confirmed with `exact_rank`.
-Floating point is never involved.
+k - d + rank Q[T, T], T the complement of S and Q = M+ + 2^(g-1) I, whose
+columns span ker B, of dimension d (`build_kernel_projector`).  At g = 2
+the 2^10 masks are scanned exhaustively, one batch of exact ranks per
+order, of B[S, S] or of the smaller Q[T, T] (`submatrix_ranks`).  At g = 3
+the strictly-even submatrix gives a certified witness of order 27 and rank
+19, the rank proved without elimination by build_Bk's identity B_k =
+2^(g-1)(2^g I - L) and the spectrum certificate of L; orders <= 7 are
+certified infeasible by strict diagonal dominance; the remaining orders are
+probed by seeded randomized search: batches of uniform masks of one random
+order, each drawn as one array, then the single-swap neighbourhoods of the
+best masks, each mask swapped from at most once (restarts are deduplicated
+by mask).  The probe screens each batch mod the prime 2^31 - 1 through the
+systematic form of the kernel basis G = Q[:, I], I the d leftmost columns
+of Q independent mod p (`screen_ranks`), one elimination of a small block
+per value of c = |I ∩ S|; the form is the identity on the rows I.  A rank
+mod p is a lower bound on the rational rank, so no true witness can be
+screened out; a candidate whose screened slack is <= 0 is confirmed with
+`exact_rank`.  Floating point is never involved.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .matrices import (
-    PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, build_kernel_form, exact_rank,
+    PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_form, build_kernel_projector, exact_rank,
 )
 
 MOD_P = PRIMES[0]  # 2^31 - 1
@@ -75,21 +76,22 @@ def submatrix_ranks(g: int, idx) -> np.ndarray:
     row S of the (n, k) index array idx, by one batch of exact_rank.
 
     B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
-    zeros off S, lies in ker B; with G = build_kernel_basis(g), of d
-    columns, that gives rank B[S, S] = k - d + rank G[S^c, :].  The batch is
-    ranked in whichever form is cheaper, min(r, c)^2 max(r, c) for an
-    r x c matrix: k x k for B[S, S], (|K+| - k) x d for G[S^c, :].
+    zeros off S, lies in ker B, the column space of (Q, d) =
+    build_kernel_projector(g).  With T the complement of S, that gives rank
+    B[S, S] = k - d + rank Q[T, :], and rank Q[T, :] = rank Q[T, T] since
+    Q^2 = lambda Q with Q symmetric.  The batch is ranked in whichever
+    square form is smaller: k x k for B[S, S], (|K+| - k) x (|K+| - k) for
+    Q[T, T].
     """
     b = build_B(g)
-    kernel = build_kernel_basis(g)
     n, k = idx.shape
-    r, d = len(b) - k, kernel.shape[1]
-    if k**3 <= min(r, d) ** 2 * max(r, d):
+    if 2 * k <= len(b):
         return exact_rank(b[idx[:, :, None], idx[:, None, :]])
+    q, d = build_kernel_projector(g)
     outside = np.ones((n, len(b)), dtype=bool)
     outside[np.arange(n)[:, None], idx] = False
-    rest = np.nonzero(outside)[1].reshape(n, r)
-    return k - d + exact_rank(kernel[rest])
+    rest = np.nonzero(outside)[1].reshape(n, len(b) - k)
+    return k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])
 
 
 def h0_exhaustive(g: int = 2) -> SearchReport:
@@ -135,8 +137,8 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
 def screen_ranks(g: int, idx) -> np.ndarray:
     """Lower bounds on the rational ranks of the principal submatrices
     B[S, S], one for each row S of the (n, k) index array idx: k - d +
-    rank G[S^c, :] with the rank of G taken mod MOD_P, through the
-    systematic form (F, rows) = build_kernel_form(g).
+    rank G[S^c, :] with the rank of the kernel basis G = Q[:, rows] taken
+    mod MOD_P, through the systematic form (F, rows) = build_kernel_form(g).
 
     With c = |rows ∩ S|, rank_p G[S^c, :] = (d - c) + rank_p F[S^c - rows,
     rows ∩ S], so rank B[S, S] is at least k - c plus the rank of that

@@ -184,8 +184,10 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
     p = np.linalg.solve(tau.im, z.imag)
     q = z.real - tau.re @ p
-    s_tau = np.floor(p + 0.5).astype(np.int64)
-    s_one = np.floor(q + 0.5).astype(np.int64)
+    shifts = np.floor(np.concatenate([p, q]) + 0.5)
+    if not (np.abs(shifts) < 2.0**63).all():
+        raise ValueError(f"z is too large to reduce: the lattice shifts {shifts} exceed int64")
+    s_tau, s_one = np.split(shifts.astype(np.int64), 2)
     z_red = z - tau.mat @ s_tau - s_one
     # theta(z) = base e((a.s_one - s_tau.b)/n) theta(z_red) for characteristic (a, b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -482,7 +484,8 @@ def count_torsion(
 def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     """Number of half-integer characteristics with theta(tau, 2y) nonvanishing."""
     y = np.asarray(y, dtype=complex)
-    table = theta_table(tau, 2 * y, 2, tol)
+    # y + y, not 2 * y: complex multiplication makes an infinite y inf+nanj
+    table = theta_table(tau, y + y, 2, tol)
     mags = np.abs(table.values)
     if not np.isfinite(mags).all():
         raise ThetaLabError("theta table holds non-finite values")
@@ -504,9 +507,9 @@ def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
     g = tau.g
     z = np.asarray(z, dtype=complex)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
-    at2z = theta_table(tau, 2 * z, 2, tol).values.tolist()
+    at2z = theta_table(tau, z + z, 2, tol).values.tolist()
     # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
-    at2tau = theta_table(tau.scaled(2), 2 * z, 2, tol).values[:: 2**g].tolist()
+    at2tau = theta_table(tau.scaled(2), z + z, 2, tol).values[:: 2**g].tolist()
     worst = 0.0
     for i in range(4**g):
         a, b = i >> g, i & (2**g - 1)
@@ -526,7 +529,7 @@ def fay_relation_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> flo
     # the rows of N follow the canonical order of the even characteristics
     even = ~odd_mask(g)
     at0 = theta_table(tau, np.zeros(g), 2, tol).values[even].tolist()
-    at2z = theta_table(tau, 2 * z, 2, tol).values[even].tolist()
+    at2z = theta_table(tau, z + z, 2, tol).values[even].tolist()
     quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
     worst = 0.0
     for column in n.T.tolist():

@@ -193,7 +193,17 @@ def test_h0_g2_refuses_budget_and_seed(capsys, extra):
 
 
 def test_h0_g3_requires_budget_and_seed(capsys):
-    assert run(capsys, "h0", "--g", "3")[0] == 2
+    assert run(capsys, "h0", "--g", "3") == (2, "", "g = 3 requires --budget and --seed\n")
+
+
+@pytest.mark.parametrize("g", ["1", "4"])
+def test_h0_refuses_a_genus_outside_2_and_3(capsys, g):
+    assert run(capsys, "h0", "--g", g) == (2, "", "h0 supports g in {2, 3}\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_h0_g3_refuses_a_budget_below_1(capsys, budget):
+    assert run(capsys, "h0", "--g", "3", "--budget", budget, "--seed", "1") == (2, "", "error: budget must be positive\n")
 
 
 def test_h0_g3_small_budget(capsys):
@@ -608,12 +618,13 @@ def test_import_builds_no_table():
     code = (
         "import thetalab.cli\n"
         "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
-        "from thetalab.matrices import build_M, build_kernel_basis\n"
-        "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M, build_kernel_basis)\n"
+        "from thetalab.matrices import build_M, build_kernel_form, build_kernel_projector\n"
+        "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
+        "tables += (build_kernel_projector, build_kernel_form)\n"
         "print([t.cache_info().currsize for t in tables])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):

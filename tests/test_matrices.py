@@ -16,19 +16,19 @@ from thetalab.matrices import (
     PRIMES,
     TRIPLE,
     _require_entrywise,
+    _row_echelon_mod_p,
     batched_rank_mod_p,
     bk_selection,
     build_B,
     build_Bk,
     build_L,
     build_M,
-    build_kernel_basis,
     build_kernel_form,
+    build_kernel_projector,
     exact_rank,
     export_json,
     fay_multiplicities,
     kron_multiplicities,
-    leftmost_independent,
     spectrum,
     split_blocks,
     verify_fay_spectrum,
@@ -152,96 +152,140 @@ def test_batched_rank_mod_p_matches_sympy_over_gf_p(p):
     check()
 
 
+@pytest.mark.parametrize("p", [PRIMES[0], 7])
+def test_row_echelon_mod_p_matches_sympy_over_gf_p(p):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(integer_batches(p))
+    def check(mats):
+        for m in mats:
+            want, pivots = DomainMatrix.from_list(m.tolist(), ZZ).convert_to(GF(p)).rref()
+            got, got_pivots = _row_echelon_mod_p(m, p)
+            assert got_pivots.tolist() == list(pivots)
+            assert got.tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()]
+
+    check()
+
+
 def test_kernel_basis_screen_matches_exact_rank_at_every_order():
     b = build_B(3)
-    kernel = build_kernel_basis(3)
+    q, d = build_kernel_projector(3)
+    kernel = q[:, build_kernel_form(3)[1]]
     rng = np.random.default_rng(11)
-    for k in range(8, 27):
+    for k in range(8, 36):
         idx = np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
         assert screen_ranks(3, idx).tolist() == want.tolist()
-        # rank B[S, S] = k - d + rank G[S^c, :], the identity the screen ranks by
+        # rank B[S, S] = k - d + rank G[T, :] = k - d + rank Q[T, T], T the
+        # complement of S: the identities the screen and submatrix_ranks rank by
         rest = np.array([np.setdiff1d(np.arange(36), s) for s in idx])
-        assert (k - 15 + exact_rank(kernel[rest])).tolist() == want.tolist()
+        assert (k - d + exact_rank(kernel[rest])).tolist() == want.tolist()
+        assert (k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("g,d", [(1, 2), (2, 5), (3, 15), (4, 51)])
+def test_kernel_projector_certifies_ker_B(g, d):
+    q, dim = build_kernel_projector(g)
+    lam = 3 * 2 ** (g - 1)
+    assert dim == d == len(q) - (4**g - 1) // 3
+    assert np.array_equal(q, q.T) and np.array_equal(q @ q, lam * q)
+    assert not (build_B(g) @ q).any()
+    assert np.trace(q) == lam * d
+    assert (q.diagonal() == 2 ** (g - 1) + 1).all()
+    assert (np.abs(q[~np.eye(len(q), dtype=bool)]) == 1).all()
 
 
 @pytest.mark.parametrize("g,d", [(1, 2), (2, 5), (3, 15)])
 def test_kernel_basis_spans_ker_B(g, d):
-    kernel = build_kernel_basis(g)
+    # G = Q[:, rows], the basis whose systematic form the screen ranks
+    kernel = build_kernel_projector(g)[0][:, build_kernel_form(g)[1]]
     b = build_B(g)
     assert kernel.shape == (len(b), d)
     assert not (b @ kernel).any()
     assert exact_rank(kernel) == d == len(b) - exact_rank(b)
-    assert np.abs(kernel).max() <= 2 ** (g - 1) + 1
 
 
 @pytest.fixture
-def fresh_kernel_basis():
-    build_kernel_basis.cache_clear()
+def fresh_kernel():
+    caches = (build_B, build_kernel_projector, build_kernel_form)
+    for built in caches:
+        built.cache_clear()
     yield
-    build_kernel_basis.cache_clear()
+    for built in caches:
+        built.cache_clear()
 
 
-def test_kernel_basis_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel_basis):
-    b = build_B(3).copy()
-    b[0, 0] += 1
-    monkeypatch.setattr(matrices, "build_B", lambda g: b)
-    with pytest.raises(VerificationError, match="B G = 0 for g=3 fails"):
-        build_kernel_basis(3)
+def test_kernel_basis_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel):
+    # M+ perturbed at (0, 0) once B is built: Q^2 = lambda Q, hence B Q = 0,
+    # fails
+    build_B(3)
+    m = build_M(3).copy()
+    m[0, 0] += 1
+    monkeypatch.setattr(matrices, "build_M", lambda g: m)
+    with pytest.raises(VerificationError, match="prod \\(A - lambda I\\) = 0 over \\[8, -4\\] fails"):
+        build_kernel_projector(3)
 
 
-def test_kernel_basis_refuses_a_rank_short_of_d(monkeypatch, fresh_kernel_basis):
-    monkeypatch.setattr(matrices, "exact_rank", lambda mat: 14)
-    with pytest.raises(VerificationError, match="does not have rank 15"):
-        build_kernel_basis(3)
+def test_kernel_basis_refuses_a_rank_short_of_d(monkeypatch, fresh_kernel):
+    # a dimension of 16 claimed for ker B, one more than the rank of Q
+    q, d = build_kernel_projector(3)
+    monkeypatch.setattr(matrices, "build_kernel_projector", lambda g: (q, d + 1))
+    with pytest.raises(VerificationError, match="Q for g=3 has 15 pivots mod 2147483647, not 16"):
+        build_kernel_form(3)
 
 
-def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_kernel_basis):
-    monkeypatch.setattr(matrices, "build_B", lambda g: np.zeros((36, 36), dtype=np.int64))
-    with pytest.raises(VerificationError, match="rank B for g=3 is below 21"):
-        build_kernel_basis(3)
+def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_kernel):
+    # N = 0 makes B = 0, whose kernel is everything; build_B's identity fails
+    def zero_n(m):
+        mp, mm, n = split_blocks(m)
+        return mp, mm, np.zeros_like(n)
+
+    monkeypatch.setattr(matrices, "split_blocks", zero_n)
+    with pytest.raises(VerificationError, match="B = 2\\^\\(g-1\\)\\(2\\^g I - M\\+\\) for g=3 fails"):
+        build_kernel_projector(3)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_kernel_form_is_the_systematic_form_of_G(g):
     form, rows = build_kernel_form(g)
-    kernel = build_kernel_basis(g)
+    q, d = build_kernel_projector(g)
     p = PRIMES[0]
-    assert form.shape == kernel.shape and 0 <= form.min() and form.max() < p
-    assert np.array_equal(form[rows], np.eye(kernel.shape[1], dtype=np.int64))
-    assert not ((form @ kernel[rows] - kernel) % p).any()
-    # rows are the leftmost rows of G independent mod p: each other row lies
-    # in the span of the rows of G above it
-    for i in range(len(kernel)):
-        above = rows[rows < i]
-        assert (i in rows) == (batched_rank_mod_p(kernel[None, : i + 1], p)[0] > len(above))
+    assert form.shape == (len(q), d) and 0 <= form.min() and form.max() < p
+    assert np.array_equal(form[rows], np.eye(d, dtype=np.int64))
+    assert not ((form @ q[np.ix_(rows, rows)] - q[:, rows]) % p).any()
+    # rows are the leftmost columns of Q independent mod p: each other
+    # column lies in the span of the columns to its left
+    ranks = batched_rank_mod_p(np.tri(len(q), dtype=np.int64)[:, None, :] * q, p)
+    assert np.flatnonzero(np.diff(ranks, prepend=0)).tolist() == rows.tolist()
 
 
-@pytest.fixture
-def fresh_kernel_form():
-    build_kernel_form.cache_clear()
-    yield
-    build_kernel_form.cache_clear()
-
-
-def test_kernel_form_refuses_a_wrong_inverse(monkeypatch, fresh_kernel_form):
-    monkeypatch.setattr(matrices, "_inverse_mod_p", lambda mat, p: np.eye(len(mat), dtype=np.int64))
-    with pytest.raises(VerificationError, match="F\\[rows\\] = I for g=3 fails"):
+def test_kernel_form_refuses_too_few_independent_rows(monkeypatch, fresh_kernel):
+    build_kernel_projector(3)
+    monkeypatch.setattr(matrices, "_row_echelon_mod_p", lambda mat, p: (mat % p, np.arange(14)))
+    with pytest.raises(VerificationError, match="has 14 pivots"):
         build_kernel_form(3)
 
 
-def test_kernel_form_refuses_too_few_independent_rows(monkeypatch, fresh_kernel_form):
-    build_kernel_basis(3)
-    monkeypatch.setattr(matrices, "leftmost_independent", lambda mat, p: np.arange(14))
-    with pytest.raises(VerificationError, match="has 14 rows independent"):
+def _no_elimination(mat, p):
+    return mat % p, _row_echelon_mod_p(mat, p)[1]
+
+
+def _one_wrong_entry(mat, p):
+    r, pivots = _row_echelon_mod_p(mat, p)
+    # off the pivot columns, so F[rows] = I still holds
+    r[0, np.setdiff1d(np.arange(r.shape[1]), pivots)[0]] += 1
+    return r, pivots
+
+
+@pytest.mark.parametrize(
+    "echelon,match",
+    [(_no_elimination, "F\\[rows\\] = I for g=3 fails"), (_one_wrong_entry, "F T = G mod 2147483647 for g=3 fails")],
+    ids=["no-elimination", "one-wrong-entry"],
+)
+def test_kernel_form_refuses_a_wrong_echelon_form(monkeypatch, fresh_kernel, echelon, match):
+    build_kernel_projector(3)
+    monkeypatch.setattr(matrices, "_row_echelon_mod_p", echelon)
+    with pytest.raises(VerificationError, match=match):
         build_kernel_form(3)
-
-
-def test_leftmost_independent_columns():
-    mat = np.array([[0, 1, 2, 0, 1], [0, 0, 0, 1, 1]])
-    assert leftmost_independent(mat, PRIMES[0]).tolist() == [1, 3]
-    assert leftmost_independent(mat, 2).tolist() == [1, 3]
-    assert leftmost_independent(np.zeros((2, 3), dtype=np.int64), 7).tolist() == []
 
 
 def test_eigen_multiplicity_diag():
@@ -567,14 +611,14 @@ def test_matrices_are_built_once_per_genus():
     assert build_B(3) is build_B(3)
     assert build_L(3) is build_L(3)
     assert build_Bk(3)[0] is build_Bk(3)[0]
-    assert build_kernel_basis(3) is build_kernel_basis(3)
+    assert build_kernel_projector(3)[0] is build_kernel_projector(3)[0]
     assert build_kernel_form(3)[0] is build_kernel_form(3)[0]
 
 
 def _cached_matrices(g):
     m = build_M(g)
-    kernel, form = build_kernel_basis(g), build_kernel_form(g)[0]
-    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], kernel, form]
+    q, form = build_kernel_projector(g)[0], build_kernel_form(g)[0]
+    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], q, form]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -590,13 +634,13 @@ def test_cached_matrices_are_read_only(g):
     after = _cached_matrices(g)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
     # the cached values still satisfy the verified identities
-    m, mp, _, n, b, l, bk, kernel, form = after
+    m, mp, _, n, b, l, bk, q, form = after
     assert np.array_equal(m @ m, 4**g * np.eye(4**g, dtype=np.int64))
     assert np.array_equal(b, n @ n.T)
     assert np.array_equal(b, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
     assert np.array_equal(bk, 2 ** (g - 1) * (2**g * np.eye(3**g, dtype=np.int64) - l))
-    assert not (b @ kernel).any()
+    assert np.array_equal(q @ q, 3 * 2 ** (g - 1) * q) and not (b @ q).any()
     rows = build_kernel_form(g)[1]
     with pytest.raises(ValueError):
         rows[0] = 7
-    assert not ((form @ kernel[rows] - kernel) % PRIMES[0]).any()
+    assert not ((form @ q[np.ix_(rows, rows)] - q[:, rows]) % PRIMES[0]).any()

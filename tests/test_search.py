@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from thetalab import search
 from thetalab.errors import VerificationError
-from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_basis, exact_rank
+from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_form, build_kernel_projector, exact_rank
 from thetalab.search import (
     MOD_P,
     h0_exhaustive,
@@ -233,7 +233,7 @@ def test_screen_ranks_are_exact_on_every_g2_mask():
 def two_form_screen(idx):
     """The genus-3 screen before the systematic form: B[S, S] up to order 16,
     k - 15 + rank G[S^c, :] from order 17 on, ranked mod 2^31 - 1."""
-    b, kernel = build_B(3), build_kernel_basis(3)
+    b, kernel = build_B(3), build_kernel_projector(3)[0][:, build_kernel_form(3)[1]]
     n, k = idx.shape
     if k <= 16:
         return batched_rank_mod_p(b[idx[:, :, None], idx[:, None, :]], MOD_P)

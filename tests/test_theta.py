@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import mpmath
@@ -182,15 +183,30 @@ def test_theta_table_refuses_a_non_finite_z(z):
         theta_table(random_tau(2, 0), z, 2)
 
 
+@pytest.mark.parametrize("z", [[1e20, 0], [0, 1e20j], [-1e300, 0]])
+def test_theta_table_refuses_a_z_whose_shifts_exceed_int64(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="z is too large to reduce"):
+            theta_table(random_tau(2, 0), z, 2)
+
+
 @pytest.mark.parametrize(
     "z,error,match",
-    [([np.nan, 0], ValueError, "z must be finite"), ([0, 100j], ThetaLabError, "overflowed")],
+    [
+        ([np.nan, 0], ValueError, "z must be finite"),
+        ([0, 100j], ThetaLabError, "overflowed"),
+        ([np.inf, 0], ValueError, "z must be finite, got \\[inf"),
+        ([1e20, 0], ValueError, "z is too large to reduce"),
+    ],
 )
 @pytest.mark.parametrize("evaluate", [m_count, addition_residual, fay_relation_residual])
 def test_callers_of_theta_table_refuse_a_non_finite_or_overflowing_z(evaluate, z, error, match):
-    # at z = [0, 100j] the quasi-periodicity factor exceeds the float range
-    with pytest.raises(error, match=match):
+    # at z = [0, 100j] the quasi-periodicity factor exceeds the float range;
+    # an infinite z is reported as given, not as the inf+nanj of 2 * z
+    with pytest.raises(error, match=match) as refused:
         evaluate(random_tau(2, 0), z)
+    assert ("nan" in str(refused.value)) == bool(np.isnan(z).any())
 
 
 def test_m_count_refuses_non_finite_magnitudes(monkeypatch):
