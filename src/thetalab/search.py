@@ -1,25 +1,29 @@
 """Principal-submatrix rank search on B = N N^t.
 
-The target quantity is the smallest order k admitting a principal submatrix
-S with rank(S) <= k - 2^g.  B is positive semidefinite, so rank B[S, S] =
-k - d + rank Q[T, T], T the complement of S and Q = M+ + 2^(g-1) I, whose
-columns span ker B, of dimension d (`build_kernel_projector`).  At g = 2
-the 2^10 masks are scanned exhaustively, one batch of exact ranks per
-order, of B[S, S] or of the smaller Q[T, T] (`submatrix_ranks`).  At g = 3
-the strictly-even submatrix gives a certified witness of order 27 and rank
-19, the rank proved without elimination by build_Bk's identity B_k =
-2^(g-1)(2^g I - L) and the spectrum certificate of L; orders <= 7 are
-certified infeasible by strict diagonal dominance; the remaining orders are
-probed by seeded randomized search: batches of uniform masks of one random
-order, each drawn as one array, then the single-swap neighbourhoods of the
-best masks, each mask swapped from at most once (restarts are deduplicated
-by mask).  The probe screens each batch mod the prime 2^31 - 1 through the
+The target quantity h0 is the smallest order k admitting a principal
+submatrix S with rank(S) <= k - 2^g.  B is positive semidefinite, so rank
+B[S, S] = k - d + rank Q[T, T], T the complement of S and Q = M+ + 2^(g-1)
+I, whose columns span ker B, of dimension d (`build_kernel_projector`).
+Every diagonal entry of Q is 2^(g-1) + 1 and every other one is +-1, so the
+trace-rank bound rank A >= (tr A)^2 / tr A^2 on A = Q[T, T] is a lower bound
+on rank B[S, S] at every order (`trace_rank_bounds`): it certifies orders
+1-8 infeasible at g = 2 and orders 1-26 at g = 3.  A witness of the next
+order meets it: at g = 2 the exhaustive scan of the 2^10 masks, one batch
+of exact ranks per order, of B[S, S] or of the smaller Q[T, T]
+(`submatrix_ranks`); at g = 3 the strictly-even submatrix of order 27 and
+rank 19, the rank proved without elimination by build_Bk's identity B_k =
+2^(g-1)(2^g I - L) and the spectrum certificate of L.  So h0(2) = 9 and
+h0(3) = 27.
+
+At g = 3 a seeded probe screens batches of uniform masks of one random
+order below 27, each drawn as one array, mod the prime 2^31 - 1 through the
 systematic form of the kernel basis G = Q[:, I], I the d leftmost columns
 of Q independent mod p (`screen_ranks`), one elimination of a small block
 per value of c = |I ∩ S|; the form is the identity on the rows I.  A rank
 mod p is a lower bound on the rational rank, so no true witness can be
 screened out; a candidate whose screened slack is <= 0 is confirmed with
-`exact_rank`.  Floating point is never involved.
+`exact_rank`, and a confirmed witness would contradict the certificate.
+Floating point is never involved.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class SearchReport:
     seed: int = None
     budget: int = None
     budget_used: int = 0
-    counterexample_found: bool = False
     notes: list = field(default_factory=list)
 
     def to_json(self):
@@ -66,7 +69,6 @@ class SearchReport:
             "seed": self.seed,
             "budget": self.budget,
             "budget_used": self.budget_used,
-            "counterexample_found": self.counterexample_found,
             "notes": self.notes,
         }
 
@@ -94,43 +96,69 @@ def submatrix_ranks(g: int, idx) -> np.ndarray:
     return k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])
 
 
+def trace_rank_bounds(g: int) -> dict:
+    """Certified lower bounds on rank B[S, S], {k: bound} over the orders k
+    = 1..|K+| of S.
+
+    With (Q, d) = build_kernel_projector(g), T the complement of S and t =
+    |K+| - k, rank B[S, S] = k - d + rank A for A = Q[T, T]
+    (`submatrix_ranks`).  Cauchy-Schwarz on the nonzero eigenvalues of the
+    real symmetric A gives rank A >= (tr A)^2 / tr A^2, the relative bound
+    for equiangular lines (Lemmens and Seidel, J. Algebra 24, 1973).  Every
+    diagonal entry of Q is D = 2^(g-1) + 1 and every other one is +-1,
+    checked entrywise (else VerificationError), so tr A = t D, tr A^2 = t D^2
+    + t (t - 1) and the bound is k - d + ceil(t D^2 / (D^2 + t - 1)).
+    """
+    q, d = build_kernel_projector(g)
+    diag = 2 ** (g - 1) + 1
+    if (q.diagonal() != diag).any() or (np.abs(q[~np.eye(len(q), dtype=bool)]) != 1).any():
+        raise VerificationError(f"Q for g={g} is not {diag} on its diagonal and +-1 off it")
+    sq = diag * diag
+    return {k: k - d - (-(len(q) - k) * sq // (sq + len(q) - k - 1)) for k in range(1, len(q) + 1)}
+
+
+def certify(report: SearchReport) -> None:
+    """Fill in report.h0, its infeasible orders and one note from
+    trace_rank_bounds, given its witness of order report.h0_upper.
+
+    An order whose bound exceeds k - 2^g has no witness, and a witness of
+    order k stays one when an index is added (the rank grows by at most 1),
+    so the largest such order is h0 - 1 and every order below it is
+    infeasible too.  VerificationError unless the witness is of order h0.
+    """
+    g = report.g
+    need = 2**g
+    bounds = trace_rank_bounds(g)
+    h0 = max(k for k, low in bounds.items() if low > k - need) + 1
+    if report.h0_upper != h0:
+        raise VerificationError(
+            f"the trace-rank certificate gives h0 = {h0} at g={g}, the witness order {report.h0_upper}"
+        )
+    q, d = build_kernel_projector(g)
+    sq = (2 ** (g - 1) + 1) ** 2
+    report.h0 = h0
+    report.orders_certified_infeasible = list(range(1, h0))
+    report.notes.append(
+        f"orders <= {h0 - 1} infeasible: rank B[S, S] >= k - {d} + ceil({sq} t / ({sq - 1} + t)) "
+        f"> k - {need}, t = {len(q)} - k (trace-rank bound on Q[T, T], Q = M+ + {2 ** (g - 1)} I)"
+    )
+
+
 def h0_exhaustive(g: int = 2) -> SearchReport:
     """Scan every principal submatrix of B at g = 2, one batch of exact
-    ranks per order."""
+    ranks per order; the scan's h0 must meet the trace-rank certificate."""
     if g != 2:
         raise ValueError("exhaustive scan supported at g = 2 only")
-    b = build_B(g)
-    kp = len(b)
-    need = 2**g
+    kp = len(build_B(g))
     report = SearchReport(g=g, exhaustive=True, strategy="exhaustive-bitmask-scan")
-    min_rank = {}
-    witnesses = []
     for k in range(1, kp + 1):
         idx = np.array(list(combinations(range(kp), k)))
         ranks = submatrix_ranks(g, idx)
-        min_rank[k] = int(ranks.min())
-        if not witnesses:
-            witnesses = [tuple(mask) for mask in idx[ranks <= k - need].tolist()]
-    h0 = len(witnesses[0]) if witnesses else None
-    report.min_rank_by_order = min_rank
-    report.h0 = h0
-    report.h0_upper = h0
-    report.witnesses = witnesses
-
-    # B = N N^t is a Gram matrix, so a principal submatrix of full rank is
-    # positive definite; the exact scan shows every one of order <= 2^g - 1
-    # has full rank
-    pd_cap = need - 1
-    for k in range(1, pd_cap + 1):
-        if min_rank[k] != k:
-            raise VerificationError(
-                f"a principal submatrix of order {k} has rank {min_rank[k]} < {k}"
-            )
-    report.orders_certified_infeasible = list(range(1, pd_cap + 1))
-    report.notes.append(
-        f"all principal submatrices of order <= {pd_cap} have full exact rank, "
-        "hence are positive definite (B = N N^t is a Gram matrix)"
-    )
+        report.min_rank_by_order[k] = int(ranks.min())
+        if not report.witnesses:
+            report.witnesses = [tuple(mask) for mask in idx[ranks <= k - 2**g].tolist()]
+    report.h0_upper = len(report.witnesses[0])
+    certify(report)
     return report
 
 
@@ -170,50 +198,24 @@ def sample_masks(rng, orders, size: int, m: int) -> np.ndarray:
     return np.sort(perms[:, :k], axis=1)
 
 
-def swap_neighbours(mask, size: int) -> np.ndarray:
-    """The k (size - k) masks one swap away from the sorted mask of order
-    k, as an array of sorted rows: each position of the mask in turn, its
-    index replaced by each index of range(size) outside the mask in
-    increasing order."""
-    mask = np.asarray(mask)
-    k = len(mask)
-    outside = np.setdiff1d(np.arange(size), mask)
-    swaps = np.broadcast_to(mask, (k, len(outside), k)).copy()
-    swaps[np.arange(k), :, np.arange(k)] = outside
-    return np.sort(swaps.reshape(-1, k), axis=1)
-
-
-def least_slack(slack, masks) -> tuple:
-    """The least (slack, mask) of a batch of sorted masks, the (n, k) array
-    masks: the least slack and, among the masks that reach it, the
-    lexicographically least, as an int and a tuple."""
-    low = slack.min()
-    ties = masks[slack == low]
-    return int(low), tuple(ties[np.lexsort(ties.T[::-1])[0]].tolist())
+BATCH = 4096  # the most masks the probe draws and screens at once
 
 
 def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport:
-    """Randomized refutation probe at g = 3.
-
-    Establishes the certified upper bound (order-27 witness of rank 19),
-    certifies orders <= 7 infeasible, then spends the budget looking for a
-    witness of smaller order.  Absence of a find is reported as such, never
-    as a proof.
+    """h0 at g = 3 from the certified witness (order 27, exact rank 19) and
+    the trace-rank certificate, then a seeded probe of budget uniform masks
+    of the orders below the witness's, in batches of up to BATCH masks of
+    one random order.  Every mask of screened slack <= 0 is confirmed with
+    exact_rank, and a confirmed witness, which would contradict the
+    certificate, raises VerificationError.
     """
     if g != 3:
         raise ValueError("the randomized probe is wired for g = 3")
     if budget < 1:
         raise ValueError("budget must be positive")
     b = build_B(g)
-    kp = len(b)  # 36
     need = 2**g  # 8
-    report = SearchReport(
-        g=g,
-        exhaustive=False,
-        strategy="uniform-sampling+greedy-swaps",
-        seed=int(seed),
-        budget=int(budget),
-    )
+    report = SearchReport(g=g, exhaustive=False, strategy="uniform-sampling", seed=int(seed), budget=int(budget))
 
     # build_Bk and build_L have proved exactly that b[sel, sel] has rank
     # 3^g - 2^g, the certificate of this witness, so it is not recomputed
@@ -225,80 +227,20 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     report.notes.append(
         f"certified witness: order {len(sel)}, exact rank {wit_rank}, slack {len(sel) - need - wit_rank}"
     )
+    certify(report)
 
-    # orders <= 2^g - 1: diag 28 dominates (order-1)*4, hence positive definite
-    offmax = int(np.abs(b[~np.eye(kp, dtype=bool)]).max())
-    diag = int(b.diagonal().min())
-    # strict dominance at order s needs (s-1)*offmax < diag
-    cap = (diag - 1) // offmax + 1
-    if cap < need - 1:
-        raise VerificationError("diagonal dominance fails to certify small orders")
-    report.orders_certified_infeasible = list(range(1, need))
-    report.notes.append(
-        f"orders <= {need - 1} infeasible: strict diagonal dominance "
-        f"({diag} > {need - 2} * {offmax}) forces positive definiteness"
-    )
-
+    # no dedup: the mask space is orders of magnitude larger than the budget
     rng = np.random.default_rng(seed)
-    orders = np.arange(need, report.h0_upper)
-    used = 0
-    best = {}  # order -> (slack, mask)
-    seen = set()  # the masks already swapped from
-
-    def eval_batch(masks):
-        """Screen one (n, k) batch of sorted masks; best[k] keeps the least
-        (slack, mask) ever seen at order k, and every mask of screened slack
-        <= 0 is confirmed exactly."""
-        nonlocal used
-        if not len(masks):
-            return
+    orders = np.arange(need, report.h0)
+    while report.budget_used < budget:
+        masks = sample_masks(rng, orders, len(b), min(BATCH, budget - report.budget_used))
         k = masks.shape[1]
         slack = screen_ranks(g, masks) - (k - need)
-        used += len(masks)
-        least = least_slack(slack, masks)
-        if k not in best or least < best[k]:
-            best[k] = least
+        report.budget_used += len(masks)
         for mask in masks[slack <= 0].tolist():
-            confirm = exact_rank(b[np.ix_(mask, mask)])
-            if confirm <= k - need:
-                report.counterexample_found = True
-                report.witnesses.append(tuple(mask))
-                report.h0_upper = min(report.h0_upper, k)
-                report.notes.append(
-                    f"witness of order {k} found: exact rank {confirm}"
+            rank = exact_rank(b[np.ix_(mask, mask)])
+            if rank <= k - need:
+                raise VerificationError(
+                    f"mask {mask} of order {k} has exact rank {rank}, below the certified h0 = {report.h0}"
                 )
-
-    # uniform phase: no dedup, since the mask space is orders of magnitude
-    # larger than the budget.  It spends at least one mask, so the greedy
-    # phase has a start even at budget 1.
-    sample_budget = max(1, int(budget * 0.8))
-    batch = 4096
-
-    def sample(limit):
-        """One batch of uniform masks of a random order, up to limit used."""
-        eval_batch(sample_masks(rng, orders, kp, min(batch, limit - used)))
-
-    while used < sample_budget:
-        sample(sample_budget)
-
-    # greedy swap refinement from the best mask of the best order; a mask
-    # already swapped from, or a neighbourhood that lowers no slack, is
-    # followed by a random restart through the sampler
-    while used < budget:
-        start_order = min(best, key=lambda k: (best[k][0], k))
-        slack0, mask0 = best[start_order]
-        if mask0 not in seen:
-            seen.add(mask0)
-            eval_batch(swap_neighbours(mask0, kp)[: budget - used])
-            if best[start_order][0] < slack0:
-                continue
-        sample(budget)
-
-    report.budget_used = used
-    for k, (slack, _mask) in sorted(best.items()):
-        report.min_rank_by_order[k] = slack + (k - need)
-    if not report.counterexample_found:
-        report.notes.append(
-            "no witness of order below the certified upper bound found within budget"
-        )
     return report

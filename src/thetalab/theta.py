@@ -19,7 +19,9 @@ roots of unity by one matrix product, with no transform and no binning.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -43,6 +45,14 @@ class PeriodMatrix:
     """Point of the Siegel upper-half space: symmetric tau with Im tau > 0."""
 
     SYMMETRY_TOL = 1e-12
+    # E, the bound on |tau_ij|.  theta_table's exponent tables hold
+    # (tau_ii - sum_{l != i} tau_il) u^2 + 2 z_i u and tau_il u^2 with
+    # |u| <= 3 RADIUS_CAP + 2 = 182 and the reduced z of real and imaginary
+    # parts at most g E / 2 + 1/2, so the parts of a term are at most
+    # 2 g E u^2, and _slab_weights sums g (g + 1) / 2 terms times pi: at most
+    # pi g^2 (g + 1) E 182^2 < 6e7 E at g <= 8, the most MAX_CHARACTERISTICS
+    # allows.  At E = 1e300 that stays below the float maximum 1.8e308.
+    ENTRY_MAX = 1e300
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -50,6 +60,8 @@ class PeriodMatrix:
             raise ValueError("tau must be a square matrix")
         if not np.isfinite(mat).all():
             raise ValueError("tau must be finite")
+        if (np.abs(mat) > self.ENTRY_MAX).any():
+            raise ValueError(f"tau entries must be at most {self.ENTRY_MAX:g} in modulus")
         if np.max(np.abs(mat - mat.T)) > self.SYMMETRY_TOL:
             raise ValueError("tau must be symmetric (entrywise 1e-12)")
         mat = (mat + mat.T) / 2
@@ -81,7 +93,7 @@ class PeriodMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "PeriodMatrix":
-        g = int(obj["g"])
+        g = operator.index(obj["g"])  # refuses 2.5, which int() would read as 2
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
         if re.shape != (g, g) or im.shape != (g, g):
@@ -352,16 +364,28 @@ def classify_magnitudes(mags, tail_bound):
     return rel < VANISH_REL
 
 
+@cache
+def product_rule_flags(g: int, n: int) -> np.ndarray:
+    """The vanishing flags of the level-n constants at an exactly diagonal
+    tau, in index order, built once per (g, n) and read-only.  Each constant
+    is a product of genus-1 constants, and theta[a/n; b/n] of genus 1
+    vanishes at z = 0 iff a/n = b/n = 1/2, that is 2a = 2b = n."""
+    half = 2 * enumerate_characteristics(g, n) == n
+    flags = (half[:, :g] & half[:, g:]).any(axis=1)
+    flags.setflags(write=False)
+    return flags
+
+
 @dataclass
 class ConstantTable:
     """All level-n theta constants at tau with vanishing flags and margins.
 
     certified is True when the exact product rule decides vanishing: level 2
-    and exactly diagonal tau, where each constant is a product of genus-1
-    constants and theta[a/2; b/2] of genus 1 vanishes iff ab = 1.  Otherwise
-    the threshold policy of classify_magnitudes decides, once the tail bound
-    is below its vanishing threshold.  A table with a non-finite magnitude is
-    refused.
+    and exactly diagonal tau.  Otherwise the threshold policy of
+    classify_magnitudes decides, once the tail bound is below its vanishing
+    threshold, and at an exactly diagonal tau the product rule checks it:
+    a disagreement raises AmbiguousVanishingError.  A table with a
+    non-finite magnitude is refused.
     """
 
     tau: PeriodMatrix
@@ -371,6 +395,7 @@ class ConstantTable:
     magnitudes: np.ndarray = field(init=False)
     max_magnitude: float = field(init=False)
     certified: bool = field(init=False)
+    _diagonal: bool = field(init=False, repr=False)
     _flags: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -381,31 +406,35 @@ class ConstantTable:
         if self.max_magnitude <= 0:
             raise ThetaLabError("constant table has no nonvanishing entry")
         mat = self.tau.mat
-        self.certified = self.n == 2 and np.array_equal(mat, np.diag(np.diagonal(mat)))
+        self._diagonal = np.array_equal(mat, np.diag(np.diagonal(mat)))
+        self.certified = self.n == 2 and self._diagonal
 
     @property
     def margins(self):
         return self.magnitudes / self.max_magnitude
 
+    def _ambiguity(self, what, offenders):
+        names = [characteristic_keys(self.tau.g, self.n)[i] for i in offenders]
+        return AmbiguousVanishingError(f"{what} at characteristics {names}", offenders=offenders)
+
     def vanishing_flags(self):
         """The table's one vanishing decision, made on first use (read-only)."""
         if self._flags is None:
+            rule = product_rule_flags(self.tau.g, self.n) if self._diagonal else None
             if self.certified:
-                # index = a||b in binary, so some a_i b_i = 1 iff the two halves share a bit
-                index = np.arange(4**self.tau.g)
-                flags = ((index >> self.tau.g) & index) != 0
+                flags = rule
             else:
                 try:
                     flags = classify_magnitudes(self.magnitudes, self.tail_bound)
                 except AmbiguousVanishingError as exc:
                     if not exc.offenders:
                         raise
-                    names = [characteristic_keys(self.tau.g, self.n)[i] for i in exc.offenders]
-                    raise AmbiguousVanishingError(
-                        f"undecidable theta constants at characteristics {names}",
-                        offenders=exc.offenders,
-                    ) from None
-            flags.setflags(write=False)
+                    raise self._ambiguity("undecidable theta constants", exc.offenders) from None
+                if rule is not None and (flags != rule).any():
+                    raise self._ambiguity(
+                        "the threshold policy contradicts the product rule", np.flatnonzero(flags != rule).tolist()
+                    )
+                flags.setflags(write=False)
             self._flags = flags
         return self._flags
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +211,8 @@ def test_h0_g3_small_budget(capsys):
     code, out, _ = run(capsys, "h0", "--g", "3", "--budget", "2000", "--seed", "1")
     assert code == 0
     blob = json.loads(out)
-    assert blob["h0_upper"] == 27
-    assert not blob["counterexample_found"]
+    assert blob["h0"] == blob["h0_upper"] == 27
+    assert "counterexample_found" not in blob
 
 
 def test_bounds_table(capsys):
@@ -440,6 +441,64 @@ def test_count_not_certified(capsys, tmp_path, mat, n):
     assert json.loads(out)["certified"] is False
 
 
+def test_count_refuses_a_diagonal_miscount(capsys, tmp_path):
+    # at tau = i diag(1, 50) the level-3 constants with a_2 != 0 are about
+    # exp(-50 pi / 9) of the maximum, below the vanishing threshold, yet the
+    # product rule says no level-3 constant vanishes
+    path = write_tau(tmp_path, np.diag([1j, 50j]))
+    code, out, err = run(capsys, "count", "--tau", path, "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("ambiguous: the threshold policy contradicts the product rule at characteristics ['01|00'")
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 6), (3, 3)])
+def test_count_diagonal_tau_keeps_the_product_rule_count(capsys, tmp_path, g, n):
+    # the count-mix diagonal family: Re in [-1/2, 1/2], Im in [1, 1.5]
+    rng = np.random.default_rng(n + g)
+    for draw in range(4):
+        diag = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(1.0, 1.5, g)
+        path = write_tau(tmp_path, np.diag(diag), f"tau{draw}.json")
+        code, out, _ = run(capsys, "count", "--tau", path, "--n", str(n))
+        assert code == 0
+        blob = json.loads(out)
+        # n^(2g) minus the product of the genus-1 nonvanishing counts
+        assert blob["theta_n"] == n ** (2 * g) - (n * n - (n % 2 == 0)) ** g
+        assert blob["certified"] is False
+
+
+def test_count_refuses_a_non_integer_genus(capsys, tmp_path):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"g": 2.5, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]}))
+    code, out, err = run(capsys, "count", "--tau", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read period matrix from {path}")
+
+
+def diagonal_blob(im22):
+    return {"g": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, im22]]}
+
+
+@pytest.mark.parametrize("im22", [1e308, 1e306])
+def test_count_refuses_tau_entries_near_the_float_maximum(capsys, tmp_path, im22):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(diagonal_blob(im22)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "count", "--tau", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"cannot read period matrix from {path}: tau entries must be at most 1e+300 in modulus\n"
+
+
+def test_count_takes_tau_entries_at_the_bound(capsys, tmp_path):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(diagonal_blob(1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "count", "--tau", str(path))
+    assert code == 0
+    assert json.loads(out)["theta_n"] == 7
+
+
 @pytest.fixture
 def classify_calls(monkeypatch):
     theta_module = importlib.import_module("thetalab.theta")
@@ -620,11 +679,12 @@ def test_import_builds_no_table():
         "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
         "from thetalab.matrices import build_M, build_kernel_form, build_kernel_projector\n"
         "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
-        "tables += (build_kernel_projector, build_kernel_form)\n"
+        "from thetalab.theta import product_rule_flags\n"
+        "tables += (build_kernel_projector, build_kernel_form, product_rule_flags)\n"
         "print([t.cache_info().currsize for t in tables])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):

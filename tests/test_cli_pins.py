@@ -2,8 +2,9 @@
 
 cli_pins.json holds, for each invocation in INVOCATIONS, the part of its
 stdout that holds no float: export-matrix, orbits --full and h0 whole; the name
-and pass of each verify claim; and theta_n, certified, the char keys and the
-indices of the vanishing entries of count --table.  A text longer than
+and pass of each verify claim; theta_n, certified, the char keys and the
+indices of the vanishing entries of count --table; and the whole stdout of an
+invocation that exits nonzero, which is empty.  A text longer than
 TEXT_LIMIT characters is pinned by its sha256.  Floats are left out, so that
 their last digits may change while these stay fixed.
 
@@ -32,6 +33,9 @@ NAMES = ("M", "Mplus", "Mminus", "N", "B", "L", "Bk")
 TAUS = {
     "generic": lambda g: random_tau(g, 0).mat,
     "diagonal": lambda g: np.diag([k * (0.2 + 1j) + 0.1j for k in range(1, g + 1)]),
+    # i diag(1, ..., 1, 50): at level 3 the threshold policy calls the
+    # constants with a nonzero last digit of a vanishing, the product rule none
+    "lopsided": lambda g: 1j * np.diag([1.0] * (g - 1) + [50.0]),
 }
 COUNTS = [(2, 2), (3, 2), (2, 6), (3, 3)]
 
@@ -40,10 +44,10 @@ INVOCATIONS = (
     + [f"orbits --g {g} --tuples 1 --full" for g in (1, 2, 3, 4)]
     + [f"orbits --g {g} --tuples 2 --full" for g in (1, 2, 3)]
     + [f"verify --g {g}" for g in (1, 2, 3)]
-    + [f"count --tau {kind}{g} --n {n} --table" for g, n in COUNTS for kind in TAUS]
-    + ["count --tau diagonal2 --n 12 --table"]
+    + [f"count --tau {kind}{g} --n {n} --table" for g, n in COUNTS for kind in ("generic", "diagonal")]
+    + ["count --tau diagonal2 --n 12 --table", "count --tau lopsided2 --n 3"]
     + ["h0 --g 2", "h0 --g 3 --budget 2000 --seed 1", "h0 --g 3 --budget 4000 --seed 7"]
-    + ["h0 --g 3 --budget 20000 --seed 3"]
+    + ["h0 --g 3 --budget 20000 --seed 3", "h0 --g 4", "h0 --g 2 --budget 5", "h0 --g 3"]
 )
 
 
@@ -68,7 +72,7 @@ def observe(invocation, directory):
     if argv[0] == "verify":
         blob = json.loads(out)
         pinned = {"claims": [[c["claim"], c["pass"]] for c in blob["claims"]], "all_pass": blob["all_pass"]}
-    elif argv[0] == "count":
+    elif argv[0] == "count" and code == 0:
         blob = json.loads(out)
         pinned = {
             "theta_n": blob["theta_n"],

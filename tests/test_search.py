@@ -14,11 +14,10 @@ from thetalab.search import (
     MOD_P,
     h0_exhaustive,
     h0_probe,
-    least_slack,
     sample_masks,
     screen_ranks,
     submatrix_ranks,
-    swap_neighbours,
+    trace_rank_bounds,
 )
 
 
@@ -76,36 +75,27 @@ WITNESS_G3 = [
 ]
 PROBE_NOTES = [
     "certified witness: order 27, exact rank 19, slack 0",
-    "orders <= 7 infeasible: strict diagonal dominance (28 > 6 * 4) forces positive definiteness",
-    "no witness of order below the certified upper bound found within budget",
+    "orders <= 26 infeasible: rank B[S, S] >= k - 15 + ceil(25 t / (24 + t)) > k - 8, t = 36 - k "
+    "(trace-rank bound on Q[T, T], Q = M+ + 4 I)",
 ]
 
 
-@pytest.mark.parametrize(
-    "budget,seed,min_rank",
-    [
-        (4000, 7, {"25": 19, "26": 20, "27": 19}),
-        (2000, 1, {"9": 9, "16": 14, "27": 19}),
-    ],
-)
-def test_h0_probe_output_pinned(budget, seed, min_rank):
-    # the screened ranks are ranks of G[S^c, :] mod 2^31 - 1, which do not
-    # depend on the pivot order or on the basis of ker B they are taken in,
-    # so these literals follow the seeded draws alone: the masks sampled and
-    # the swaps tried
+@pytest.mark.parametrize("budget,seed", [(4000, 7), (2000, 1)])
+def test_h0_probe_output_pinned(budget, seed):
+    # h0 and the infeasible orders come from the certificate, so only the
+    # seed and the budget follow the arguments
     assert h0_probe(3, budget=budget, seed=seed).to_json() == {
         "g": 3,
         "exhaustive": False,
-        "strategy": "uniform-sampling+greedy-swaps",
-        "h0": None,
+        "strategy": "uniform-sampling",
+        "h0": 27,
         "h0_upper": 27,
         "witnesses": [WITNESS_G3],
-        "min_rank_by_order": min_rank,
-        "orders_certified_infeasible": [1, 2, 3, 4, 5, 6, 7],
+        "min_rank_by_order": {"27": 19},
+        "orders_certified_infeasible": list(range(1, 27)),
         "seed": seed,
         "budget": budget,
         "budget_used": budget,
-        "counterexample_found": False,
         "notes": PROBE_NOTES,
     }
 
@@ -153,67 +143,6 @@ def test_h0_probe_spends_exactly_its_budget(budget):
     assert h0_probe(3, budget=budget, seed=0).budget_used == budget
 
 
-def test_h0_probe_cuts_a_greedy_neighbourhood_at_the_budget(screened):
-    # 80 uniform masks, then a neighbourhood of k (36 - k) >= 224 swaps cut to 20
-    assert h0_probe(3, budget=100, seed=0).budget_used == 100
-    assert list(map(len, screened)) == [80, 20]
-
-
-def test_h0_probe_swaps_from_each_mask_once(monkeypatch):
-    # at this budget and seed the best mask often survives a restart's
-    # uniform batch, and without the dedup the probe swaps from it again
-    swapped = []
-
-    def spy(mask, size):
-        swapped.append(tuple(mask))
-        return swap_neighbours(mask, size)
-
-    monkeypatch.setattr(search, "swap_neighbours", spy)
-    h0_probe(3, budget=100_000, seed=3)
-    assert len(swapped) >= 2
-    assert len(set(swapped)) == len(swapped)
-
-
-def reference_swaps(mask, size):
-    """The single swaps of a sorted mask as the per-neighbour loop built
-    them: by position, then by replacement index."""
-    out = []
-    for pos in range(len(mask)):
-        for repl in range(size):
-            if repl not in mask:
-                out.append(tuple(sorted(mask[:pos] + (repl,) + mask[pos + 1 :])))
-    return out
-
-
-@pytest.mark.parametrize("k", [1, 8, 17, 26, 35])
-def test_swap_neighbours_are_the_single_swaps_in_loop_order(k):
-    rng = np.random.default_rng(k)
-    mask = tuple(sorted(rng.choice(36, size=k, replace=False).tolist()))
-    swaps = swap_neighbours(mask, 36)
-    assert swaps.shape == (k * (36 - k), k)
-    assert list(map(tuple, swaps.tolist())) == reference_swaps(mask, 36)
-    assert len(set(map(tuple, swaps.tolist()))) == k * (36 - k)
-
-
-def test_least_slack_keeps_the_per_mask_rule():
-    # slacks in {-1, 0, 1} over masks drawn from few indices, so that a batch
-    # holds many ties and repeated masks
-    rng = np.random.default_rng(8)
-    array_best, loop_best = {}, {}
-    for _ in range(200):
-        k = int(rng.integers(2, 5))
-        masks = np.sort(rng.permuted(np.broadcast_to(np.arange(7), (int(rng.integers(1, 30)), 7)), axis=1)[:, :k], axis=1)
-        masks = masks[rng.integers(0, len(masks), size=len(masks))]
-        slack = rng.integers(-1, 2, size=len(masks))
-        least = least_slack(slack, masks)
-        if k not in array_best or least < array_best[k]:
-            array_best[k] = least
-        for mask, s in zip(map(tuple, masks.tolist()), slack.tolist()):
-            if k not in loop_best or s < loop_best[k][0] or (s == loop_best[k][0] and mask < loop_best[k][1]):
-                loop_best[k] = (s, mask)
-        assert array_best == loop_best
-
-
 def test_submatrix_ranks_agree_in_both_forms_at_g2():
     # every one of the 1023 masks: the cheaper form against B[S, S] exactly
     b = build_B(2)
@@ -246,9 +175,6 @@ def test_screen_ranks_match_the_two_form_screen_at_g3():
     for k in range(8, 28):
         idx = sample_masks(rng, [k], 36, 300)
         assert screen_ranks(3, idx).tolist() == two_form_screen(idx).tolist()
-    for k in (8, 13, 16, 17, 21, 26):
-        swaps = swap_neighbours(sample_masks(rng, [k], 36, 1)[0], 36)
-        assert screen_ranks(3, swaps).tolist() == two_form_screen(swaps).tolist()
 
 
 def test_screen_ranks_are_exact_on_rank_deficient_masks():
@@ -274,7 +200,7 @@ def test_h0_exhaustive_g2():
     assert report.h0 == 9
     assert report.min_rank_by_order[8] == 5
     assert report.min_rank_by_order[9] == 5
-    assert report.orders_certified_infeasible == [1, 2, 3]
+    assert report.orders_certified_infeasible == [1, 2, 3, 4, 5, 6, 7, 8]
     # every witness is a genuine order-9 submatrix of rank <= 5
     b = build_B(2)
     for w in report.witnesses:
@@ -289,24 +215,67 @@ def test_h0_exhaustive_rejects_g3():
         h0_exhaustive(3)
 
 
-def test_h0_probe_certificates_and_determinism():
+def test_h0_probe_certificates_and_determinism(screened):
     r1 = h0_probe(3, budget=4000, seed=7)
+    first = [idx.tolist() for idx in screened]
+    screened.clear()
     r2 = h0_probe(3, budget=4000, seed=7)
-    assert r1.h0_upper == 27
-    assert r1.orders_certified_infeasible == [1, 2, 3, 4, 5, 6, 7]
-    assert not r1.counterexample_found
+    assert r1.h0 == r1.h0_upper == 27
+    assert r1.orders_certified_infeasible == list(range(1, 27))
     assert r1.budget_used == 4000
     assert r1.to_json() == r2.to_json()
+    assert [idx.tolist() for idx in screened] == first
     # the certified witness is the strictly-even selection, exact rank 19
     b = build_B(3)
     w = r1.witnesses[0]
     assert exact_rank(b[np.ix_(w, w)]) == 19
 
 
-def test_h0_probe_seed_changes_trajectory():
-    r1 = h0_probe(3, budget=4000, seed=1)
-    r2 = h0_probe(3, budget=4000, seed=2)
-    assert r1.min_rank_by_order != r2.min_rank_by_order
+def test_h0_probe_seed_changes_trajectory(screened):
+    h0_probe(3, budget=4000, seed=1)
+    first = screened[0].tolist()
+    screened.clear()
+    h0_probe(3, budget=4000, seed=2)
+    assert screened[0].tolist() != first
+
+
+def test_trace_rank_bounds_equal_the_g2_scan_minima():
+    assert trace_rank_bounds(2) == h0_exhaustive(2).min_rank_by_order
+
+
+def test_trace_rank_bounds_hold_on_sampled_g3_masks():
+    bounds = trace_rank_bounds(3)
+    rng = np.random.default_rng(14)
+    for k in range(8, 36):
+        idx = sample_masks(rng, [k], 36, 50)
+        assert (submatrix_ranks(3, idx) >= bounds[k]).all()
+    # the witness order is the first the bound leaves open, and B_k meets it
+    assert bounds[26] > 26 - 8 and bounds[27] == 19
+
+
+@pytest.mark.parametrize("entry,value", [((4, 4), 4), ((3, 17), 3)], ids=["diagonal", "off-diagonal"])
+def test_trace_rank_bounds_check_Q_entrywise(monkeypatch, entry, value):
+    q, d = build_kernel_projector(3)
+    bad = q.copy()
+    bad[entry] = bad[entry[::-1]] = value
+    monkeypatch.setattr(search, "build_kernel_projector", lambda g: (bad, d))
+    with pytest.raises(VerificationError, match="not 5 on its diagonal and \\+-1 off it"):
+        trace_rank_bounds(3)
+
+
+def test_certify_refuses_a_witness_the_bound_does_not_meet():
+    report = search.SearchReport(g=3, exhaustive=False, strategy="uniform-sampling", h0_upper=28)
+    with pytest.raises(VerificationError, match="h0 = 27"):
+        search.certify(report)
+
+
+def test_h0_probe_refuses_a_confirmed_witness(monkeypatch):
+    # a screen that passes every mask and an exact rank of 0 stand in for a
+    # witness below order 27, which the certificate rules out
+    monkeypatch.setattr(search, "screen_ranks", lambda g, idx: np.full(len(idx), idx.shape[1] - 8))
+    monkeypatch.setattr(search, "exact_rank", lambda mat: 0)
+    with pytest.raises(VerificationError, match="below the certified h0 = 27"):
+        h0_probe(3, budget=5, seed=0)
 
 
 def test_h0_probe_rejects_bad_args():

@@ -31,6 +31,7 @@ from thetalab.theta import (
     count_torsion,
     fay_relation_residual,
     m_count,
+    product_rule_flags,
     random_tau,
     theta_table,
 )
@@ -68,6 +69,13 @@ def test_period_matrix_json_roundtrip():
     blob = json.dumps(tau.to_json())
     back = PeriodMatrix.from_json(json.loads(blob))
     assert np.allclose(back.mat, tau.mat)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_product_rule_at_level_2_is_the_index_bit_rule(g):
+    # the level-2 index is a||b in binary: some a_i b_i = 1 iff the halves share a bit
+    index = np.arange(4**g)
+    assert product_rule_flags(g, 2).tolist() == (((index >> g) & index) != 0).tolist()
 
 
 def test_period_matrix_from_json_rejects_bad_shape():
