@@ -1,7 +1,7 @@
 """Pinned integer and string outputs of the CLI.
 
 cli_pins.json holds, for each invocation in INVOCATIONS, the part of its
-stdout that holds no float: export-matrix, orbits --full and h0 whole; the name
+stdout that holds no float: export-matrix, orbits --full, h0 and bounds whole; the name
 and pass of each verify claim; theta_n, certified, the char keys and the
 indices of the vanishing entries of count --table; and the whole stdout of an
 invocation that exits nonzero, which is empty.  A text longer than
@@ -29,7 +29,7 @@ from thetalab.theta import PeriodMatrix, random_tau
 PINS = Path(__file__).with_name("cli_pins.json")
 TEXT_LIMIT = 4096
 NAMES = ("M", "Mplus", "Mminus", "N", "B", "L", "Bk")
-# a count case names its tau as family and genus, for example diagonal3
+# a --tau token names its tau as family and genus, for example diagonal3
 TAUS = {
     "generic": lambda g: random_tau(g, 0).mat,
     "diagonal": lambda g: np.diag([k * (0.2 + 1j) + 0.1j for k in range(1, g + 1)]),
@@ -46,6 +46,7 @@ INVOCATIONS = (
     + [f"verify --g {g}" for g in (1, 2, 3)]
     + [f"count --tau {kind}{g} --n {n} --table" for g, n in COUNTS for kind in ("generic", "diagonal")]
     + ["count --tau diagonal2 --n 12 --table", "count --tau lopsided2 --n 3"]
+    + ["count --tau generic2 --n 2 --tol 10", "bounds --g 2 --n 2 --tau generic2"]
     + ["h0 --g 2", "h0 --g 3 --budget 2000 --seed 1", "h0 --g 3 --budget 4000 --seed 7"]
     + ["h0 --g 3 --budget 20000 --seed 3", "h0 --g 4", "h0 --g 2 --budget 5", "h0 --g 3"]
 )
@@ -60,11 +61,12 @@ def text_or_digest(text):
 def observe(invocation, directory):
     """Run one invocation in-process; its exit code and the pinned part of its stdout."""
     argv = invocation.split()
-    if argv[0] == "count":
-        token = argv[2]
+    if "--tau" in argv:
+        at = argv.index("--tau") + 1
+        token = argv[at]
         path = Path(directory) / f"{token}.json"
         path.write_text(json.dumps(PeriodMatrix(TAUS[token[:-1]](int(token[-1]))).to_json()))
-        argv[2] = str(path)
+        argv[at] = str(path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
