@@ -9,7 +9,7 @@ import numpy as np
 from thetalab import (
     addition_residual,
     compare,
-    count_torsion,
+    constant_table,
     decomposable_bound,
     evaluate_bounds,
     fay_relation_residual,
@@ -18,7 +18,7 @@ from thetalab import (
 
 print("== bound table at g = 2, n = 2 ==")
 tau = random_tau(2, 11)
-theta_n = count_torsion(tau, 2).count
+theta_n = constant_table(tau, 2).count
 for v in compare(theta_n, evaluate_bounds(2, 2)):
     print(f"  {v['name']:<22} value {v['value']:>4}  [{v['status']}]  {v['verdict']}")
 

@@ -9,25 +9,25 @@ minimal count 2^{g-1}(2^g - 1)."""
 
 import numpy as np
 
-from thetalab import PeriodMatrix, constant_table, count_torsion, random_tau
+from thetalab import PeriodMatrix, constant_table, random_tau
 
 print("== products of elliptic curves (diagonal tau) ==")
 for g in (1, 2, 3):
     tau = PeriodMatrix(np.diag([1j * (0.8 + 0.4 * k) for k in range(g)]))
-    res = count_torsion(tau, 2)
+    table = constant_table(tau, 2)
     print(
-        f"g={g}: Theta(2) = {res.count}  (4^g - 3^g = {4**g - 3**g}, "
-        f"certified by the diagonal product rule: {res.certified})"
+        f"g={g}: Theta(2) = {table.count}  (4^g - 3^g = {4**g - 3**g}, "
+        f"certified by the diagonal product rule: {table.certified})"
     )
 
 print()
 print("== generic period matrices ==")
 for g in (1, 2, 3):
-    res = count_torsion(random_tau(g, seed := 2024 + g), 2)
+    summary = constant_table(random_tau(g, seed := 2024 + g), 2).to_json()
     print(
-        f"g={g}, seed={seed}: Theta(2) = {res.count}  "
+        f"g={g}, seed={seed}: Theta(2) = {summary['theta_n']}  "
         f"(2^(g-1)(2^g-1) = {2 ** (g - 1) * (2**g - 1)}), "
-        f"decision margin {res.min_nonvanishing_margin:.3g}"
+        f"decision margin {summary['margins']['min_nonvanishing']:.3g}"
     )
 
 print()
@@ -40,5 +40,4 @@ for char, margin, vanishing in zip(col["char"], col["margin"], col["vanishing"])
 
 print()
 print("== level 4: only the odd half-characteristics vanish generically ==")
-res = count_torsion(random_tau(1, 5), 4)
-print(f"g=1: Theta(4) = {res.count} of 4^2 = 16 constants")
+print(f"g=1: Theta(4) = {constant_table(random_tau(1, 5), 4).count} of 4^2 = 16 constants")

@@ -44,10 +44,8 @@ from .theta import (
     ConstantTable,
     PeriodMatrix,
     ThetaValues,
-    TorsionCount,
     addition_residual,
     constant_table,
-    count_torsion,
     fay_relation_residual,
     m_count,
     random_tau,

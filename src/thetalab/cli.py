@@ -30,7 +30,6 @@ from .search import h0_exhaustive, h0_probe
 from .theta import (
     PeriodMatrix,
     addition_residual,
-    count_torsion,
     constant_table,
     fay_relation_residual,
     random_tau,
@@ -117,7 +116,7 @@ def _table_json(col) -> str:
 def cmd_count(args) -> int:
     tau = _load_tau(args.tau)
     table = constant_table(tau, args.n, tol=args.tol)
-    out = count_torsion(tau, args.n, table=table).to_json()
+    out = table.to_json()
     if args.format == "json" and args.table:
         text = json.dumps(out | {"table": None}, sort_keys=True, indent=2)
         print(text.replace('"table": null', '"table": ' + _table_json(table.columns()), 1))
@@ -209,7 +208,7 @@ def cmd_bounds(args) -> int:
         tau = _load_tau(args.tau)
         if tau.g != args.g:
             raise SystemExit("--tau dimension disagrees with --g")
-        theta_n = count_torsion(tau, args.n, tol=args.tol).count
+        theta_n = constant_table(tau, args.n, tol=args.tol).count
         out["theta_n"] = theta_n
         out["verdicts"] = compare(theta_n, rows)
     if args.format == "json":

@@ -93,11 +93,17 @@ class PeriodMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "PeriodMatrix":
+        if isinstance(obj["g"], bool):  # operator.index(True) is 1
+            raise ValueError("g must be an integer, not a boolean")
         g = operator.index(obj["g"])  # refuses 2.5, which int() would read as 2
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
         if re.shape != (g, g) or im.shape != (g, g):
             raise ValueError("re/im must be g x g row-major arrays")
+        # numpy would read the string "0.25" and the boolean true as numbers
+        entries = [x for key in ("re", "im") for row in obj[key] for x in row]
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entries):
+            raise ValueError("re/im entries must be JSON numbers")
         return cls(re + 1j * im)
 
 
@@ -378,14 +384,15 @@ def product_rule_flags(g: int, n: int) -> np.ndarray:
 
 @dataclass
 class ConstantTable:
-    """All level-n theta constants at tau with vanishing flags and margins.
+    """All level-n theta constants at tau, their vanishing flags and margins,
+    and Theta(n), the number that vanish.  The flags are read-only.
 
-    certified is True when the exact product rule decides vanishing: level 2
-    and exactly diagonal tau.  Otherwise the threshold policy of
-    classify_magnitudes decides, once the tail bound is below its vanishing
-    threshold, and at an exactly diagonal tau the product rule checks it:
-    a disagreement raises AmbiguousVanishingError.  A table with a
-    non-finite magnitude is refused.
+    The table makes its one vanishing decision at construction.  certified
+    is True when the exact product rule decides: level 2 and exactly
+    diagonal tau.  Otherwise the threshold policy of classify_magnitudes
+    decides, once the tail bound is below its vanishing threshold, and at an
+    exactly diagonal tau the product rule checks it: a disagreement raises
+    AmbiguousVanishingError.  A table with a non-finite magnitude is refused.
     """
 
     tau: PeriodMatrix
@@ -395,8 +402,7 @@ class ConstantTable:
     magnitudes: np.ndarray = field(init=False)
     max_magnitude: float = field(init=False)
     certified: bool = field(init=False)
-    _diagonal: bool = field(init=False, repr=False)
-    _flags: np.ndarray = field(init=False, default=None, repr=False)
+    flags: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.magnitudes = np.abs(self.values)
@@ -406,37 +412,51 @@ class ConstantTable:
         if self.max_magnitude <= 0:
             raise ThetaLabError("constant table has no nonvanishing entry")
         mat = self.tau.mat
-        self._diagonal = np.array_equal(mat, np.diag(np.diagonal(mat)))
-        self.certified = self.n == 2 and self._diagonal
+        rule = product_rule_flags(self.tau.g, self.n) if np.array_equal(mat, np.diag(np.diagonal(mat))) else None
+        self.certified = self.n == 2 and rule is not None
+        if self.certified:
+            self.flags = rule
+            return
+        try:
+            self.flags = classify_magnitudes(self.magnitudes, self.tail_bound)
+        except AmbiguousVanishingError as exc:
+            if not exc.offenders:
+                raise
+            raise self._ambiguity("undecidable theta constants", exc.offenders) from None
+        if rule is not None and (self.flags != rule).any():
+            raise self._ambiguity(
+                "the threshold policy contradicts the product rule", np.flatnonzero(self.flags != rule).tolist()
+            )
+        self.flags.setflags(write=False)
 
     @property
     def margins(self):
         return self.magnitudes / self.max_magnitude
 
+    @property
+    def count(self) -> int:
+        """Theta(n): the number of vanishing constants."""
+        return int(self.flags.sum())
+
     def _ambiguity(self, what, offenders):
         names = [characteristic_keys(self.tau.g, self.n)[i] for i in offenders]
         return AmbiguousVanishingError(f"{what} at characteristics {names}", offenders=offenders)
 
-    def vanishing_flags(self):
-        """The table's one vanishing decision, made on first use (read-only)."""
-        if self._flags is None:
-            rule = product_rule_flags(self.tau.g, self.n) if self._diagonal else None
-            if self.certified:
-                flags = rule
-            else:
-                try:
-                    flags = classify_magnitudes(self.magnitudes, self.tail_bound)
-                except AmbiguousVanishingError as exc:
-                    if not exc.offenders:
-                        raise
-                    raise self._ambiguity("undecidable theta constants", exc.offenders) from None
-                if rule is not None and (flags != rule).any():
-                    raise self._ambiguity(
-                        "the threshold policy contradicts the product rule", np.flatnonzero(flags != rule).tolist()
-                    )
-                flags.setflags(write=False)
-            self._flags = flags
-        return self._flags
+    def to_json(self):
+        """Theta(n) with the decision margins of the vanishing classification."""
+        margins = self.margins
+        nonvan = margins[~self.flags]
+        van = margins[self.flags]
+        return {
+            "theta_n": self.count,
+            "n": self.n,
+            "g": self.tau.g,
+            "margins": {
+                "min_nonvanishing": float(nonvan.min()) if nonvan.size else math.inf,
+                "max_vanishing": float(van.max()) if van.size else 0.0,
+            },
+            "certified": self.certified,
+        }
 
     def columns(self):
         """The table as plain Python lists, one per field, in index order:
@@ -448,7 +468,7 @@ class ConstantTable:
             "margin": self.margins.tolist(),
             "value_re": self.values.real.tolist(),
             "value_im": self.values.imag.tolist(),
-            "vanishing": self.vanishing_flags().tolist(),
+            "vanishing": self.flags.tolist(),
         }
 
 
@@ -456,58 +476,6 @@ def constant_table(tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL) -> Const
     """Table of all n^{2g} theta constants theta[delta; eps](tau, 0)."""
     table = theta_table(tau, np.zeros(tau.g), n, tol)
     return ConstantTable(tau, n, table.values, table.tail_bound)
-
-
-@dataclass
-class TorsionCount:
-    """Theta(n) with the decision margins of the vanishing classification."""
-
-    count: int
-    n: int
-    g: int
-    min_nonvanishing_margin: float
-    max_vanishing_margin: float
-    certified: bool
-
-    def to_json(self):
-        return {
-            "theta_n": self.count,
-            "n": self.n,
-            "g": self.g,
-            "margins": {
-                "min_nonvanishing": self.min_nonvanishing_margin,
-                "max_vanishing": self.max_vanishing_margin,
-            },
-            "certified": self.certified,
-        }
-
-
-def count_torsion(
-    tau: PeriodMatrix, n: int, tol: float = DEFAULT_TOL, table: ConstantTable = None
-) -> TorsionCount:
-    """Theta(n): number of vanishing level-n theta constants at tau.
-
-    Pass the table when it is already evaluated at (tau, n) to count from it;
-    ValueError if it was evaluated at another level or another tau.
-    """
-    if table is None:
-        table = constant_table(tau, n, tol)
-    elif table.n != n:
-        raise ValueError(f"the table is of level {table.n}, not {n}")
-    elif table.tau is not tau and not np.array_equal(table.tau.mat, tau.mat):
-        raise ValueError("the table was evaluated at another tau")
-    flags = table.vanishing_flags()
-    margins = table.margins
-    nonvan = margins[~flags]
-    van = margins[flags]
-    return TorsionCount(
-        count=int(flags.sum()),
-        n=n,
-        g=tau.g,
-        min_nonvanishing_margin=float(nonvan.min()) if nonvan.size else math.inf,
-        max_vanishing_margin=float(van.max()) if van.size else 0.0,
-        certified=table.certified,
-    )
 
 
 def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:

@@ -27,7 +27,6 @@ from thetalab.theta import (
     addition_residual,
     classify_magnitudes,
     constant_table,
-    count_torsion,
     fay_relation_residual,
     m_count,
     random_tau,
@@ -54,15 +53,14 @@ def test_01_product_extremal_count():
         want = 4**g - 3**g
         for _ in range(3):
             table = constant_table(product_tau(g, rng), 2)
-            res = count_torsion(table.tau, 2, table=table)
             # product rule: a level-2 constant of diagonal tau vanishes iff some a_i b_i = 1
             rows = enumerate_characteristics(g, 2)
             rule = np.any(rows[:, :g] * rows[:, g:], axis=1)
             ok = (
                 ok
-                and res.count == want
-                and res.certified
-                and np.array_equal(table.vanishing_flags(), rule)
+                and table.count == want
+                and table.certified
+                and np.array_equal(table.flags, rule)
                 and np.array_equal(classify_magnitudes(table.magnitudes, table.tail_bound), rule)
             )
     report("product extremal count 1/7/37, certified + numeric agree", ok)
@@ -72,8 +70,7 @@ def test_02_generic_count():
     ok = True
     for g, want, seeds in ((2, 6, range(20)), (3, 28, range(5))):
         for seed in seeds:
-            res = count_torsion(random_tau(g, seed), 2)
-            ok = ok and res.count == want
+            ok = ok and constant_table(random_tau(g, seed), 2).count == want
     report("generic count 2^{g-1}(2^g-1) over seeded tau", ok)
 
 
@@ -83,14 +80,14 @@ def test_03_bound_satisfaction():
     ok = True
     for n in (2, 3, 4):
         for tau in taus2:
-            theta_n = count_torsion(tau, n).count
+            theta_n = constant_table(tau, n).count
             verdicts = compare(theta_n, evaluate_bounds(2, n))
             ok = ok and not any_theorem_violated(verdicts)
             if n == 4:
                 ok = ok and theta_n <= 112
     for g in (1, 3):
         for tau in (product_tau(g, rng), random_tau(g, 0)):
-            theta_n = count_torsion(tau, 2).count
+            theta_n = constant_table(tau, 2).count
             ok = ok and not any_theorem_violated(compare(theta_n, evaluate_bounds(g, 2)))
     report("all proved bounds satisfied, Theta(4) <= 112 at g=2", ok)
 
@@ -98,7 +95,7 @@ def test_03_bound_satisfaction():
 def test_04_m_count_proposition():
     tau = random_tau(2, 0)
     rng = np.random.default_rng(404)
-    ok = m_count(tau, np.zeros(2)) == 16 - count_torsion(tau, 2).count
+    ok = m_count(tau, np.zeros(2)) == 16 - constant_table(tau, 2).count
     for _ in range(50):
         y = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.15, 0.15, 2)
         ok = ok and 9 <= m_count(tau, y) <= 16
@@ -171,7 +168,7 @@ def test_07_qh_identity():
         for mu in range(len(vecs)):
             sv = np.linalg.svd(consts[:, mu, None] * f, compute_uv=False)
             rank_sum += int((sv > 1e-4 * sv[0]).sum())
-        ok = ok and n ** (2 * g) - rank_sum == count_torsion(tau, n, table=table).count
+        ok = ok and n ** (2 * g) - rank_sum == table.count
     report("Q_H rank identity with SVD ranks for (1,2),(2,2),(2,3)", ok)
 
 
@@ -213,8 +210,8 @@ def test_10_orbit_suite():
 
 
 def test_11_determinism():
-    a = count_torsion(random_tau(2, 0), 2).to_json()
-    b = count_torsion(random_tau(2, 0), 2).to_json()
+    a = constant_table(random_tau(2, 0), 2).to_json()
+    b = constant_table(random_tau(2, 0), 2).to_json()
     c = h0_probe(3, budget=2000, seed=5).to_json()
     d = h0_probe(3, budget=2000, seed=5).to_json()
     e = json.dumps(orbits(2, 1), sort_keys=True)

@@ -15,7 +15,7 @@ import pytest
 import thetalab
 import thetalab.cli as cli_module
 from thetalab.cli import _emit, main
-from thetalab.theta import PeriodMatrix, constant_table, count_torsion, random_tau
+from thetalab.theta import PeriodMatrix, constant_table, random_tau
 
 
 @pytest.fixture
@@ -466,9 +466,20 @@ def test_count_diagonal_tau_keeps_the_product_rule_count(capsys, tmp_path, g, n)
         assert blob["certified"] is False
 
 
-def test_count_refuses_a_non_integer_genus(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"g": 2.5, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
+        # JSON true and the string "0.25" are not numbers, though Python and numpy read them as 1 and 0.25
+        {"g": True, "re": [[0.0]], "im": [[1.0]]},
+        {"g": 1, "re": [["0.25"]], "im": [[1.0]]},
+        {"g": 1, "re": [[0.0]], "im": [[True]]},
+    ],
+    ids=["float-genus", "boolean-genus", "string-entry", "boolean-entry"],
+)
+def test_count_refuses_a_malformed_tau(capsys, tmp_path, blob):
     path = tmp_path / "tau.json"
-    path.write_text(json.dumps({"g": 2.5, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]}))
+    path.write_text(json.dumps(blob))
     code, out, err = run(capsys, "count", "--tau", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot read period matrix from {path}")
@@ -570,7 +581,7 @@ def reference_entries(table):
             "margin": float(m / table.max_magnitude),
             "vanishing": bool(f),
         }
-        for d, v, m, f in zip(digits, table.values, table.magnitudes, table.vanishing_flags())
+        for d, v, m, f in zip(digits, table.values, table.magnitudes, table.flags)
     ]
 
 
@@ -585,7 +596,7 @@ def test_count_table_prints_the_json_encoding(capsys, tmp_path, g, n, kind):
     path = write_tau(tmp_path, tau.mat)
     table = constant_table(tau, n)
     entries = reference_entries(table)
-    summary = count_torsion(tau, n, table=table).to_json()
+    summary = table.to_json()
     code, out, err = run(capsys, "count", "--tau", path, "--n", str(n), "--table")
     assert (code, err) == (0, "")
     assert out == json.dumps(summary | {"table": entries}, sort_keys=True, indent=2) + "\n"
@@ -600,7 +611,7 @@ def test_count_table_prints_the_json_encoding(capsys, tmp_path, g, n, kind):
         assert run(capsys, "count", "--tau", path, "--n", str(n), "--table", "--format", fmt) == (0, want, "")
 
 
-def test_python_m_count_prints_what_main_prints(capsys, tau_file):
+def test_the_package_run_as_a_module_prints_what_main_prints(capsys, tau_file):
     argv = ["count", "--tau", tau_file, "--n", "3", "--table"]
     code, want, _ = run(capsys, *argv)
     src = str(Path(thetalab.__file__).resolve().parents[1])

@@ -28,7 +28,6 @@ from thetalab.theta import (
     addition_residual,
     classify_magnitudes,
     constant_table,
-    count_torsion,
     fay_relation_residual,
     m_count,
     product_rule_flags,
@@ -516,22 +515,21 @@ def test_classify_magnitudes_ambiguous_band_raises():
 def test_constant_table_g1():
     table = constant_table(random_tau(1, 2), 2)
     assert len(table.values) == 4
-    assert int(table.vanishing_flags().sum()) == 1
+    assert table.count == 1
 
 
 @pytest.mark.parametrize("g,expected", [(1, 1), (2, 6), (3, 28)])
 def test_generic_two_torsion_count(g, expected):
-    res = count_torsion(random_tau(g, 0), 2)
-    assert res.count == expected
+    assert constant_table(random_tau(g, 0), 2).count == expected
 
 
 def test_product_two_torsion_counts():
     # diagonal tau = product of elliptic curves, Theta(2) = 4^g - 3^g
     for g, expected in ((1, 1), (2, 7), (3, 37), (4, 175)):
         tau = PeriodMatrix(np.diag([1.0j * (k + 1) for k in range(g)]))
-        res = count_torsion(tau, 2)
-        assert res.count == expected
-        assert res.certified
+        table = constant_table(tau, 2)
+        assert table.count == expected
+        assert table.certified
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -539,7 +537,7 @@ def test_certified_flags_follow_the_product_rule(g):
     table = constant_table(PeriodMatrix(np.diag([0.3 * k + 1j * (k + 1) for k in range(g)])), 2)
     assert table.certified
     rule = [bool(np.any(a * b)) for a, b in halves(g, 2)]
-    assert table.vanishing_flags().tolist() == rule
+    assert table.flags.tolist() == rule
 
 
 def test_product_count_factorizes():
@@ -552,7 +550,7 @@ def test_product_count_factorizes():
     joint = constant_table(PeriodMatrix(np.diag([1.3j, 0.2 + 1.7j])), 2)
     assert joint.certified
     numeric = classify_magnitudes(joint.magnitudes, joint.tail_bound)
-    assert np.array_equal(numeric, joint.vanishing_flags())
+    assert np.array_equal(numeric, joint.flags)
     # vanishing on the product is the "or" of factor vanishings
     for (a, b), f in zip(halves(2, 2), numeric):
         f1 = flags[0][2 * a[0] + b[0]]
@@ -561,9 +559,9 @@ def test_product_count_factorizes():
 
 
 def test_four_torsion_g1():
-    res = count_torsion(random_tau(1, 4), 4)
-    assert res.count == 1
-    assert res.to_json()["theta_n"] == 1
+    table = constant_table(random_tau(1, 4), 4)
+    assert table.count == 1
+    assert table.to_json()["theta_n"] == 1
 
 
 def test_m_count_range_g2():
@@ -572,7 +570,7 @@ def test_m_count_range_g2():
     y = rng.uniform(-0.4, 0.4, 2) + 1j * rng.uniform(-0.1, 0.1, 2)
     m = m_count(tau, y)
     assert 9 <= m <= 16
-    assert m_count(tau, np.zeros(2)) == 16 - count_torsion(tau, 2).count
+    assert m_count(tau, np.zeros(2)) == 16 - constant_table(tau, 2).count
 
 
 def test_addition_residual_small():
@@ -613,9 +611,9 @@ def test_qh_ranks_match_svd_oracle(g, n):
             rel = sv / sv[0]
             assert not ((rel >= 1e-8) & (rel <= 1e-4)).any()
             ranks.append(int((rel > 1e-4).sum()))
-        nonvanishing = (~table.vanishing_flags()).reshape(len(vecs), len(vecs))
+        nonvanishing = (~table.flags).reshape(len(vecs), len(vecs))
         assert ranks == nonvanishing.sum(axis=0).tolist()
-        assert n ** (2 * g) - sum(ranks) == count_torsion(tau, n, table=table).count
+        assert n ** (2 * g) - sum(ranks) == table.count
 
 
 def test_a_tail_bound_above_the_band_is_undecidable():
@@ -623,13 +621,13 @@ def test_a_tail_bound_above_the_band_is_undecidable():
     # magnitude of 1.0, so no relative threshold can tell what vanishes:
     # summed at radius 0, none of the six odd constants (Theta(2) = 6) is
     # below 1e-6 of the largest, and the band would count 0
-    table = constant_table(random_tau(2, 0), 2, 10.0)
-    assert table.tail_bound >= 1e-6 * table.max_magnitude
-    both = f"tail bound {table.tail_bound:.3g} .* largest magnitude {table.max_magnitude:.3g}"
+    tau = random_tau(2, 0)
+    table = theta_table(tau, np.zeros(2), 2, 10.0)
+    top = float(np.abs(table.values).max())
+    assert table.tail_bound >= 1e-6 * top
+    both = f"tail bound {table.tail_bound:.3g} .* largest magnitude {top:.3g}"
     with pytest.raises(AmbiguousVanishingError, match=both):
-        table.vanishing_flags()
-    with pytest.raises(AmbiguousVanishingError):
-        count_torsion(table.tau, 2, table=table)
+        constant_table(tau, 2, 10.0)
 
 
 def test_m_count_refuses_a_tail_bound_above_the_band():
@@ -638,23 +636,9 @@ def test_m_count_refuses_a_tail_bound_above_the_band():
         m_count(random_tau(2, 0), np.zeros(2), tol=10.0)
 
 
-def test_count_torsion_refuses_a_table_of_another_level_or_tau():
-    tau = random_tau(2, 0)
-    table = constant_table(tau, 2)
-    with pytest.raises(ValueError, match="of level 2, not 3"):
-        count_torsion(tau, 3, table=table)
-    with pytest.raises(ValueError, match="another tau"):
-        count_torsion(random_tau(3, 0), 2, table=table)
-    with pytest.raises(ValueError, match="another tau"):
-        count_torsion(random_tau(2, 1), 2, table=table)
-    # the same matrix in another PeriodMatrix is the same tau
-    assert count_torsion(PeriodMatrix(tau.mat), 2, table=table).count == 6
-
-
 def test_vanishing_flags_decided_once_and_read_only():
     table = constant_table(random_tau(2, 0), 2)
-    flags = table.vanishing_flags()
-    assert table.vanishing_flags() is flags
+    flags = table.flags
     with pytest.raises(ValueError):
         flags[0] = not flags[0]
 
