@@ -5,16 +5,19 @@ parity of the indexing characteristics; all spectral and rank claims about
 those blocks are checked with exact integer arithmetic, never with
 floating-point eigensolvers: every multiplicity by an annihilating polynomial
 (`spectrum`), every rank by an entrywise identity such as B = N N^t =
-2^(g-1)(2^g I - M+).  `exact_rank`, batched elimination mod as many primes
-as the Hadamard bound needs, serves the search's submatrices,
+2^(g-1)(2^g I - M+).  `batched_rank_mod_p` is the one elimination loop:
+every step runs along the batch axis, and residues are reduced only when
+they could reach p.  `exact_rank`, that loop mod as many primes as the
+Hadamard bound needs, serves the search's submatrices,
 `build_kernel_projector` gives the search Q = M+ + 2^(g-1) I, a multiple of
 the projector onto ker B certified by M+'s spectrum, and
 `build_kernel_form` the systematic form of ker B mod 2^31 - 1 for the
 probe's screen, from one elimination of Q.
 
 Every matrix is an int64 numpy array, built and verified once per g and
-returned read-only, so callers share it.  Entries stay below 2^(2g+1), far
-inside int64, but for the systematic form's residues, below 2^31.
+returned read-only, so callers share it; the rank loop eliminates in a
+private copy.  Entries stay below 2^(2g+1), far inside int64, but for the
+systematic form's residues, below 2^31.
 """
 
 from __future__ import annotations
@@ -52,40 +55,58 @@ PRIMES = (
 )
 
 
-def batched_rank_mod_p(mats, p: int) -> np.ndarray:
-    """Rank mod the prime p < 2^31 of a batch of integer matrices, shape (B, k, c).
+def _magnitude(a: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int: np.abs
+    would wrap -2^63 to itself."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
-    Division-free column elimination, one row at a time across the batch:
-    the pivot is the first column with a nonzero entry in the row, and every
-    column's remaining rows become pivval*column - entry*pivot_column.  That
-    scales the other columns by a nonzero residue, clears the row and zeroes
-    the pivot column itself, so no swaps are needed; a matrix without a
-    pivot in the row takes pivval = 1 and is left as it was.  Going by rows
-    keeps the updated block contiguous.  A batch with more rows than columns
-    is eliminated transposed, so the loop runs along the shorter side.
-    Residues are reduced as x - (x // p) p, the floor residue that x % p
-    gives, by numpy's faster division by a scalar.  The rank over F_p does
-    not depend on pivot order and is always a lower bound on the rational
-    rank.
+
+def batched_rank_mod_p(mats, p: int) -> np.ndarray:
+    """Rank mod the prime p < 2^31 of a batch of integer matrices within
+    int64, shape (B, k, c).
+
+    Division-free elimination, one row at a time across the batch: the
+    pivot is the first column with a nonzero entry in the row, and every
+    later row becomes pivval*row - entry*pivot_row, entry its own entry in
+    the pivot column.  That clears the pivot column below the row, so no
+    swaps are needed; a matrix without a pivot in the row takes pivval = 1
+    and is left as it was.  The batch is eliminated in a private copy of
+    shape (k, c, B), k the shorter side (a batch with more rows than
+    columns is eliminated transposed), so every pivot search, gather,
+    scale, update and reduction runs along contiguous runs of the batch.
+
+    `top` bounds |entry| exactly, in Python ints.  Residues are reduced as
+    x - (x // p) p, the floor residue that x % p gives, by numpy's faster
+    division by a scalar, and only when top >= p: while every |x| < p, x is
+    0 mod p exactly when x = 0, so the pivot test stays exact, and an update
+    can at most take top to 2 top^2 < 2^63.  The rank over F_p does not
+    depend on pivot order and is always a lower bound on the rational rank.
     """
     a = np.asarray(mats)
-    if a.shape[1] > a.shape[2]:
-        a = a.transpose(0, 2, 1)
-    a = np.ascontiguousarray(a % p, dtype=np.int64)
-    nb, k, _ = a.shape
+    a = a.transpose(2, 1, 0) if a.shape[1] > a.shape[2] else a.transpose(1, 2, 0)
+    top = _magnitude(a)
+    a = a.astype(np.int64, order="C")  # always a copy: the caller's array is never written
+    work = np.empty_like(a)
+    k, _, nb = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
     batch = np.arange(nb)
     for row in range(k):
-        entry = a[:, row, :]
+        if top >= p:
+            live, quot = a[row:], work[row:]
+            np.floor_divide(live, p, out=quot)
+            quot *= p
+            live -= quot
+            top = p - 1
+        entry = a[row]
         nonzero = entry != 0
-        have = nonzero.any(axis=1)
-        piv = nonzero.argmax(axis=1)
-        pivval = np.where(have, entry[batch, piv], 1)
-        pivcol = a[batch, row + 1 :, piv]
-        rest = a[:, row + 1 :, :]
-        rest *= pivval[:, None, None]
-        rest -= pivcol[:, :, None] * entry[:, None, :]
-        rest -= rest // p * p
+        have = nonzero.any(axis=0)
+        piv = nonzero.argmax(axis=0)
+        pivval = np.where(have, entry[piv, batch], 1)
+        rest, outer = a[row + 1 :], work[row + 1 :]
+        np.multiply(rest[:, piv, batch][:, None, :], entry, out=outer)
+        rest *= pivval
+        rest -= outer
+        top = 2 * top * top
         ranks += have
     return ranks
 
@@ -108,7 +129,7 @@ def exact_rank(mats):
     single = a.ndim == 2
     if single:
         a = a[None]
-    top = int(np.abs(a).max(initial=0))
+    top = _magnitude(a)
     # squares and their row sums stay exact in int64 unless c * top^2 reaches 2^63
     wide = a if a.shape[2] * top * top < 2**63 else a.astype(object)
     bound2 = int((wide * wide).sum(axis=2).max(initial=0)) ** min(a.shape[1:])

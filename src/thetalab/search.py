@@ -29,7 +29,6 @@ Floating point is never involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -151,8 +150,13 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
         raise ValueError("exhaustive scan supported at g = 2 only")
     kp = len(build_B(g))
     report = SearchReport(g=g, exhaustive=True, strategy="exhaustive-bitmask-scan")
+    # one row per nonempty mask, index 0 the top bit: descending codes put
+    # the masks of each order in the lexicographic order of their indices
+    codes = np.arange(2**kp - 1, 0, -1)
+    table = (codes[:, None] >> np.arange(kp - 1, -1, -1)) & 1
+    orders = table.sum(axis=1)
     for k in range(1, kp + 1):
-        idx = np.array(list(combinations(range(kp), k)))
+        idx = np.nonzero(table[orders == k])[1].reshape(-1, k)
         ranks = submatrix_ranks(g, idx)
         report.min_rank_by_order[k] = int(ranks.min())
         if not report.witnesses:

@@ -85,6 +85,29 @@ def test_exact_rank_bounds_entries_past_int64_squares_exactly():
     assert [batched_rank_mod_p(mat[None], p)[0] for p in PRIMES[:3]] == [1, 1, 1]
 
 
+def test_exact_rank_bounds_the_int64_minimum_exactly():
+    # np.abs(-2^63) wraps to -2^63; det = 2 - 2^63 is 0 mod PRIMES[0]
+    mat = np.array([[-(2**63), 1], [-2, 1]])
+    assert exact_rank(mat) == 2
+    assert batched_rank_mod_p(mat[None], PRIMES[0]).tolist() == [1]
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 5), (1, 5, 3), (6, 3, 5), (6, 5, 3)])
+@pytest.mark.parametrize("bound", [9, 2**40])
+def test_rank_kernels_never_write_into_their_input(shape, bound):
+    # a single wide matrix transposes to a contiguous view of its input;
+    # entries past p are reduced in place, small ones updated in place
+    mats = np.random.default_rng(7).integers(-bound, bound, shape)
+    kept = mats.copy()
+    ranks = batched_rank_mod_p(mats, PRIMES[0]).tolist()
+    exact = exact_rank(mats).tolist()
+    assert np.array_equal(mats, kept)
+    mats.flags.writeable = False
+    assert batched_rank_mod_p(mats, PRIMES[0]).tolist() == ranks
+    assert exact_rank(mats).tolist() == exact
+    assert exact_rank(mats[0]) == exact[0]
+
+
 def test_exact_rank_single_and_batch():
     rank = exact_rank([[1, 2], [2, 4]])
     assert type(rank) is int and rank == 1
@@ -125,20 +148,35 @@ def sympy_ranks_mod_p(mats, p):
     return [DomainMatrix.from_list(m.tolist(), ZZ).convert_to(GF(p)).rank() for m in mats]
 
 
+INT64 = (-(2**63), 2**63 - 1)
+
+ENTRIES = (
+    st.integers(-9, 9),
+    st.integers(-300, 300),
+    st.integers(2**31 - 4, 2**31 + 4) | st.integers(-(2**31) - 4, -(2**31) + 4) | st.integers(-2, 2),
+    st.sampled_from([INT64[0], INT64[0] + 1, INT64[1], INT64[1] - 1, 0, 1, -1]),
+)
+
+
 @st.composite
 def integer_batches(draw, p):
-    """A batch of wide, square or tall integer matrices.  In some, one row
-    of the short side is a combination of two others plus p times itself,
-    so the rank drops over the rationals (a zero multiple of p) or mod p
-    only."""
+    """A batch of up to 64 wide, square or tall integer matrices, all drawn
+    from one family of entries: small, below and above p = 101, near
+    +-2^31, at the int64 extremes or +-p itself.  In some, one row of the
+    short side is a combination of two others plus p times itself, where
+    that stays within int64, so the rank drops over the rationals (a zero
+    multiple of p) or mod p only."""
     short = draw(st.integers(1, 4))
     long = short + draw(st.integers(0, 3))
-    size = draw(st.integers(1, 6))
-    mats = draw(arrays(np.int64, (size, short, long), elements=st.integers(-300, 300)))
+    size = draw(st.integers(1, 64))
+    family = draw(st.sampled_from(ENTRIES + (st.sampled_from([-p, p, 0, 1, -1]),)))
+    mats = draw(arrays(np.int64, (size, short, long), elements=family))
     if short >= 2:
         for m in mats[: draw(st.integers(0, size))]:
             x, y, z = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
-            m[-1] = x * m[0] + y * m[-2] + z * p * m[-1]
+            row = [x * int(a) + y * int(b) + z * p * int(c) for a, b, c in zip(m[0], m[-2], m[-1])]
+            if INT64[0] <= min(row) and max(row) <= INT64[1]:
+                m[-1] = row
     return mats.transpose(0, 2, 1) if draw(st.booleans()) else mats
 
 
