@@ -8,12 +8,12 @@ Every diagonal entry of Q is 2^(g-1) + 1 and every other one is +-1, so the
 trace-rank bound rank A >= (tr A)^2 / tr A^2 on A = Q[T, T] is a lower bound
 on rank B[S, S] at every order (`trace_rank_bounds`): it certifies orders
 1-8 infeasible at g = 2 and orders 1-26 at g = 3.  A witness of the next
-order meets it: at g = 2 the exhaustive scan of the 2^10 masks, one batch
-of exact ranks per order, of B[S, S] or of the smaller Q[T, T]
-(`submatrix_ranks`); at g = 3 the strictly-even submatrix of order 27 and
-rank 19, the rank proved without elimination by build_Bk's identity B_k =
-2^(g-1)(2^g I - L) and the spectrum certificate of L.  So h0(2) = 9 and
-h0(3) = 27.
+order meets it: at g = 2 the exhaustive scan of the 2^10 masks, whose ranks
+all come from the bases of the matroid on the rows of N, one batch of exact
+ranks of order rank B = |K+| - d (`gram_ranks`); at g = 3 the strictly-even
+submatrix of order 27 and rank 19, the rank proved without elimination by
+build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum certificate of
+L.  So h0(2) = 9 and h0(3) = 27.
 
 At g = 3 a seeded probe screens batches of uniform masks of one random
 order below 27, each drawn as one array, mod the prime 2^31 - 1 through the
@@ -74,7 +74,8 @@ class SearchReport:
 
 def submatrix_ranks(g: int, idx) -> np.ndarray:
     """The exact ranks of the principal submatrices B[S, S], one for each
-    row S of the (n, k) index array idx, by one batch of exact_rank.
+    row S of the (n, k) index array idx, by one batch of exact_rank: the
+    tests' reference for the rank identity below and for the scan's ranks.
 
     B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
     zeros off S, lies in ker B, the column space of (Q, d) =
@@ -143,24 +144,67 @@ def certify(report: SearchReport) -> None:
     )
 
 
+def mask_table(codes, n: int) -> np.ndarray:
+    """The 0/1 membership rows of the subsets of range(n) with the given
+    integer codes, index 0 the top bit: descending codes list the masks of
+    each order in the lexicographic order of their indices."""
+    return (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def gram_ranks(b, r: int) -> np.ndarray:
+    """rank B[S, S] for every subset S of the n rows of a Gram matrix B = N
+    N^t of rank r, as an array of length 2^n indexed by mask_table's code
+    of S, from one batch of exact_rank on the C(n, r) blocks of order r.
+
+    rank B[S, S] = rank N[S, :], the rank function of the matroid on the
+    rows of N, in which U is independent iff B[U, U] is nonsingular.  Its
+    bases are the sets of order r with exact rank r, and every independent
+    set lies in a basis (Oxley, Matroid Theory, ch. 1), so an OR over
+    supersets marks the independent sets and a max over subsets gives
+    rank(S) = max |U| over independent U within S; each is one vectorized
+    step per bit.  r must be the rank of B: VerificationError if no set of
+    order r is a basis.
+    """
+    n = len(b)
+    codes = np.arange(2**n)
+    table = mask_table(codes, n)
+    orders = table.sum(axis=1)
+    picks = codes[orders == r]
+    idx = np.nonzero(table[picks])[1].reshape(len(picks), r)
+    bases = picks[exact_rank(b[idx[:, :, None], idx[:, None, :]]) == r]
+    if not len(bases):
+        raise VerificationError(f"no principal submatrix of order {r} is nonsingular: rank B < {r}")
+    independent = np.zeros(2**n, dtype=bool)
+    independent[bases] = True
+    for bit in range(n):  # a subset of an independent set is independent
+        half = independent.reshape(-1, 2, 2**bit)
+        half[:, 0] |= half[:, 1]
+    ranks = np.where(independent, orders, 0)
+    for bit in range(n):  # rank(S) is the largest independent subset of S
+        half = ranks.reshape(-1, 2, 2**bit)
+        np.maximum(half[:, 1], half[:, 0], out=half[:, 1])
+    return ranks
+
+
 def h0_exhaustive(g: int = 2) -> SearchReport:
-    """Scan every principal submatrix of B at g = 2, one batch of exact
-    ranks per order; the scan's h0 must meet the trace-rank certificate."""
+    """Rank every principal submatrix of B at g = 2 with gram_ranks, from
+    the certified rank |K+| - d of B; the scan's h0 must meet the
+    trace-rank certificate."""
     if g != 2:
         raise ValueError("exhaustive scan supported at g = 2 only")
-    kp = len(build_B(g))
+    b = build_B(g)
+    _, d = build_kernel_projector(g)
+    kp = len(b)
     report = SearchReport(g=g, exhaustive=True, strategy="exhaustive-bitmask-scan")
-    # one row per nonempty mask, index 0 the top bit: descending codes put
-    # the masks of each order in the lexicographic order of their indices
-    codes = np.arange(2**kp - 1, 0, -1)
-    table = (codes[:, None] >> np.arange(kp - 1, -1, -1)) & 1
+    codes = np.arange(2**kp - 1, 0, -1)  # nonempty masks, lexicographic within each order
+    table = mask_table(codes, kp)
     orders = table.sum(axis=1)
+    ranks = gram_ranks(b, kp - d)[codes]
     for k in range(1, kp + 1):
-        idx = np.nonzero(table[orders == k])[1].reshape(-1, k)
-        ranks = submatrix_ranks(g, idx)
-        report.min_rank_by_order[k] = int(ranks.min())
-        if not report.witnesses:
-            report.witnesses = [tuple(mask) for mask in idx[ranks <= k - 2**g].tolist()]
+        report.min_rank_by_order[k] = int(ranks[orders == k].min())
+    found = ranks <= orders - 2**g
+    first = orders == orders[found].min()
+    report.witnesses = [tuple(np.flatnonzero(mask).tolist()) for mask in table[found & first]]
     report.h0_upper = len(report.witnesses[0])
     certify(report)
     return report

@@ -12,6 +12,7 @@ from thetalab.errors import VerificationError
 from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_form, build_kernel_projector, exact_rank
 from thetalab.search import (
     MOD_P,
+    gram_ranks,
     h0_exhaustive,
     h0_probe,
     sample_masks,
@@ -143,13 +144,80 @@ def test_h0_probe_spends_exactly_its_budget(budget):
     assert h0_probe(3, budget=budget, seed=0).budget_used == budget
 
 
-def test_submatrix_ranks_agree_in_both_forms_at_g2():
-    # every one of the 1023 masks: the cheaper form against B[S, S] exactly
+@pytest.fixture
+def scanned(monkeypatch):
+    """The per-mask rank arrays gram_ranks hands the scan, in order."""
+    arrays = []
+    ranks = search.gram_ranks
+
+    def spy(b, r):
+        arrays.append(ranks(b, r))
+        return arrays[-1]
+
+    monkeypatch.setattr(search, "gram_ranks", spy)
+    return arrays
+
+
+def masks_of_order(n, k):
+    """The codes and the (m, k) index rows of the subsets of range(n) of
+    order k, in mask_table's code."""
+    codes = np.array([sum(1 << (n - 1 - i) for i in mask) for mask in combinations(range(n), k)])
+    return codes, np.array(list(combinations(range(n), k)))
+
+
+def test_submatrix_ranks_agree_in_both_forms_at_g2(scanned):
+    # every one of the 1023 masks: the cheaper form and the scan's rank
+    # from the matroid bases, against B[S, S] exactly
     b = build_B(2)
+    h0_exhaustive(2)
+    (scan,) = scanned
+    assert scan.shape == (1024,) and scan[0] == 0
     for k in range(1, 11):
-        idx = np.array(list(combinations(range(10), k)))
+        codes, idx = masks_of_order(10, k)
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
         assert submatrix_ranks(2, idx).tolist() == want.tolist()
+        assert scan[codes].tolist() == want.tolist()
+
+
+def seeded_grams():
+    """(N, B = N N^t, rank B) for seeded integer N with 8-10 rows, entries
+    in -3..3 and rank 2-5: random columns, a row alone in its column (a
+    coloop, in every basis) at the first, last or middle row in some, then
+    repeated, negated and zero columns, and in some a zero row (a loop, in
+    no independent set) at the first or last row and a repeated row."""
+    rng = np.random.default_rng(15)
+    for case in range(12):
+        rows, r = int(rng.integers(8, 11)), 2 + case % 4
+        n = rng.integers(-3, 4, size=(rows, r))
+        if case % 4 == 3:
+            n[:, -1] = 0
+            n[[0, rows - 1, rows // 2][case // 4], -1] = 1
+        extra = rng.integers(0, r, size=case % 3)
+        copies = n[:, extra] * rng.choice([-1, 1], size=len(extra))
+        n = np.hstack([n, copies, np.zeros((rows, case % 2), dtype=np.int64)])
+        if case % 3 == 2:
+            n[[0, rows - 1][case % 2]] = 0
+            n[1] = n[2]
+        yield n, n @ n.T, exact_rank(n)
+
+
+def test_gram_ranks_match_exact_rank_on_every_principal_submatrix():
+    ranks_seen = set()
+    for n, b, r in seeded_grams():
+        assert 2 <= r <= 5 and np.abs(n).max() <= 3
+        ranks_seen.add(r)
+        got = gram_ranks(b, r)
+        assert got.shape == (2 ** len(b),) and got[0] == 0
+        for k in range(1, len(b) + 1):
+            codes, idx = masks_of_order(len(b), k)
+            assert got[codes].tolist() == exact_rank(b[idx[:, :, None], idx[:, None, :]]).tolist()
+    assert ranks_seen == {2, 3, 4, 5}
+
+
+def test_gram_ranks_refuse_a_rank_above_the_gram_matrix():
+    _, b, r = next(seeded_grams())
+    with pytest.raises(VerificationError, match=f"order {r + 1} is nonsingular"):
+        gram_ranks(b, r + 1)
 
 
 def test_screen_ranks_are_exact_on_every_g2_mask():
