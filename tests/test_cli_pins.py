@@ -36,6 +36,8 @@ TAUS = {
     # i diag(1, ..., 1, 50): at level 3 the threshold policy calls the
     # constants with a nonzero last digit of a vanishing, the product rule none
     "lopsided": lambda g: 1j * np.diag([1.0] * (g - 1) + [50.0]),
+    # 2+1 block diagonal at g = 3: the generic genus-2 tau beside a genus-1 entry
+    "block": lambda g: np.block([[random_tau(2, 0).mat, np.zeros((2, 1))], [np.zeros((1, 2)), np.full((1, 1), 0.1 + 1.2j)]]),
 }
 COUNTS = [(2, 2), (3, 2), (2, 6), (3, 3)]
 
@@ -49,6 +51,7 @@ INVOCATIONS = (
     + ["count --tau generic2 --n 2 --tol 10", "bounds --g 2 --n 2 --tau generic2"]
     + ["h0 --g 2", "h0 --g 3 --budget 2000 --seed 1", "h0 --g 3 --budget 4000 --seed 7"]
     + ["h0 --g 3 --budget 20000 --seed 3", "h0 --g 4", "h0 --g 2 --budget 5", "h0 --g 3"]
+    + [f"count --tau block3 --n {n} --table" for n in (2, 3)]
 )
 
 
