@@ -14,6 +14,11 @@ terms of one and two coordinates, so a point's weight is one real
 exponential times a product of unit phases read from small tables, and the
 sums over the characteristics factor by axis: each axis is contracted with
 roots of unity by one matrix product, with no transform and no binning.
+What depends on neither tau nor z is built once and read by every call: the
+gather and twiddle exponents once per (g, n), at most MAX_CHARACTERISTICS
+entries each, and the axis grids, roots of unity and step matrix once per
+(n, r), O(n r) entries each.  The reduction runs only for nonzero z; at
+z = 0 it is the identity.
 """
 
 from __future__ import annotations
@@ -186,6 +191,13 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     (t, b) for every axis, and one gather with the twiddle e((start + t) b/n^2)
     and the quasi-periodic phase puts the entries in index order.  The box is
     swept in slabs of at most CHUNK_POINTS points.
+
+    Only the exponent tables and the sum depend on tau and z.  The row
+    gather and the twiddle exponents at zero shift are built once per (g, n)
+    (_level_tables, at most MAX_CHARACTERISTICS entries each), and the grids
+    of u, the roots of unity and the matrix e(j b/n) once per (n, r)
+    (_axis_tables, O(n r) entries each); both are read-only.  At z = 0 the
+    reduction is the identity, so it is skipped: no shift and factor 1.
     """
     g = tau.g
     table_size(g, n)  # refuses a level below 2 or a table over MAX_CHARACTERISTICS
@@ -199,21 +211,25 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z}")
 
-    # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in [-1/2, 1/2)
-    p = np.linalg.solve(tau.im, z.imag)
-    q = z.real - tau.re @ p
-    shifts = np.floor(np.concatenate([p, q]) + 0.5)
-    if not (np.abs(shifts) < 2.0**63).all():
-        raise ValueError(f"z is too large to reduce: the lattice shifts {shifts} exceed int64")
-    s_tau, s_one = np.split(shifts.astype(np.int64), 2)
-    z_red = z - tau.mat @ s_tau - s_one
-    # theta(z) = base e((a.s_one - s_tau.b)/n) theta(z_red) for characteristic (a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = np.exp(-1j * math.pi * (s_tau @ tau.mat @ s_tau) - 2j * math.pi * (s_tau @ z_red))
-    if base == 0:
-        raise ThetaLabError("quasi-periodicity factor underflowed to zero")
-    if not np.isfinite(base):
-        raise ThetaLabError("quasi-periodicity factor overflowed")
+    # quasi-periodic reduction: z = z_red + tau s_tau + s_one with p, q in
+    # [-1/2, 1/2).  At z = 0 it is the identity: no shift and factor 1
+    s_tau = s_one = np.zeros(g, dtype=np.int64)
+    z_red, base = z, 1 + 0j
+    if z.any():
+        p = np.linalg.solve(tau.im, z.imag)
+        q = z.real - tau.re @ p
+        shifts = np.floor(np.concatenate([p, q]) + 0.5)
+        if not (np.abs(shifts) < 2.0**63).all():
+            raise ValueError(f"z is too large to reduce: the lattice shifts {shifts} exceed int64")
+        s_tau, s_one = np.split(shifts.astype(np.int64), 2)
+        z_red = z - tau.mat @ s_tau - s_one
+        # theta(z) = base e((a.s_one - s_tau.b)/n) theta(z_red) for characteristic (a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.exp(-1j * math.pi * (s_tau @ tau.mat @ s_tau) - 2j * math.pi * (s_tau @ z_red))
+        if base == 0:
+            raise ThetaLabError("quasi-periodicity factor underflowed to zero")
+        if not np.isfinite(base):
+            raise ThetaLabError("quasi-periodicity factor overflowed")
 
     lam, c, scale = tau.lam_min, float(np.linalg.norm(z_red.imag)), abs(base)
     low, radius, tail = -1, RADIUS_CAP, _series_tail(lam, c, RADIUS_CAP, g)
@@ -233,20 +249,17 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
             f"exceeds the cap of {MAX_BOX_POINTS}"
         )
 
-    # one axis of the box: rint(-a/n) is 0 for a <= n/2 and -1 above, so the
-    # axis is the run v = start + k, k < side, and u = v/n
-    span = 2 * radius + 1
-    side = n * span
-    start = -((n - 1) // 2) - n * radius
     # u^t tau u + 2 u.z = sum_i (d_i u_i^2 + 2 z_i u_i) + sum_{i<l} tau_il (u_i + u_l)^2
     # with d_i = tau_ii - sum_{l != i} tau_il.  Row i of `terms` is axis term i
     # at u = (start + k)/n, and the rows after it are the pair terms at
     # u_i + u_l = (2 start + k)/n, k = k_i + k_l, in (i, l) order
+    span = 2 * radius + 1
+    side = n * span
+    x, squares, pair_squares, roots, steps = _axis_tables(n, radius)
     mat = tau.mat
-    x = (start + np.arange(2 * side - 1)) / n
     pairs = [mat[i, l] for i in range(g) for l in range(i + 1, g)]
     terms = np.concatenate(
-        [np.outer(2 * mat.diagonal() - mat.sum(axis=1), x * x) + np.outer(2 * z_red, x), np.outer(pairs, (x + start / n) ** 2)]
+        [np.outer(2 * mat.diagonal() - mat.sum(axis=1), squares) + np.outer(2 * z_red, x), np.outer(pairs, pair_squares)]
     )
     # each term as its real exponent -pi Im and its unit phase exp(pi i Re): the
     # axis terms over k, and pair term p as the side x side view
@@ -262,17 +275,13 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
     # write v = start + n j + t with t < n.  Entry (a, b) sums the weight times
     # e(v.b/n^2) over the points with v = a (mod n), and on each axis
     # e(v b/n^2) = e((start + t) b/n^2) e(j b/n).  So the j axes are contracted
-    # one at a time with e(j b/n), and the twiddle is applied once at the end.
-    # the n^2-th roots of unity e(k/n^2) as e(q/n) e(r/n^2), k = q n + r:
-    # 2n complex exponentials rather than n^2
-    turns = 2j * math.pi * np.arange(n)
-    roots = np.multiply.outer(np.exp(turns / n), np.exp(turns / (n * n))).ravel()
-    steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
-    # the box is swept in slabs of whole j blocks of axis `lead`, the axes
-    # before it fixed to one point, so that a slab holds at most CHUNK_POINTS
-    # points.  A slab takes at least min(n, span) blocks where it can: the sum
-    # over j then makes no array longer than the slab, except where a whole
-    # axis holds fewer than n blocks and the table itself is the larger one.
+    # one at a time with steps[j, b] = e(j b/n), and the twiddle is applied
+    # once at the end.  The box is swept in slabs of whole j blocks of axis
+    # `lead`, the axes before it fixed to one point, so that a slab holds at
+    # most CHUNK_POINTS points.  A slab takes at least min(n, span) blocks
+    # where it can: the sum over j then makes no array longer than the slab,
+    # except where a whole axis holds fewer than n blocks and the table itself
+    # is the larger one.
     lead = next((i for i in range(g) if n * min(n, span) * side ** (g - 1 - i) <= CHUNK_POINTS), g - 1)
     blocks = max(1, CHUNK_POINTS // (n * side ** (g - 1 - lead)))
     free = g - lead
@@ -298,14 +307,57 @@ def theta_table(tau: PeriodMatrix, z, n: int, tol: float = DEFAULT_TOL) -> Theta
             table[tuple(point % n for point in fixed)] += y.reshape((n,) * free + (1,) * lead + (n,) * free) * factor
 
     # row a of the result is row t = (a - start) mod n of the table, and entry
-    # (a, b) takes the twiddle e(k/n^2), k = (start + t).b + n (a.s_one - s_tau.b)
-    vecs = enumerate_characteristics(g, n)[: n**g, g:]
-    pos = (vecs - start) % n
-    k = (start + pos - n * (s_tau % n)) @ vecs.T + n * (vecs @ (s_one % n))[:, None]
-    values = table.reshape(n**g, n**g)[pos @ n ** np.arange(g - 1, -1, -1)]
+    # (a, b) takes the twiddle e(k/n^2), k = (start + t).b + n (a.s_one - s_tau.b),
+    # with start = start_0 - n r
+    vecs, rows, twiddle = _level_tables(g, n)
+    k = twiddle + n * ((vecs @ (s_one % n))[:, None] - vecs @ (radius + s_tau % n))
+    values = table.reshape(n**g, n**g)[rows]
     values *= roots[k % (n * n)]
     values *= base
     return ThetaValues(values.ravel(), float(tail * scale), radius)
+
+
+@cache
+def _axis_tables(n: int, radius: int):
+    """The tables of one axis of theta_table's level-n box of radius r that
+    depend on neither tau nor z, built once per (n, r), each O(n r) and
+    read-only: the grid x = u = (start + k)/n for k < 2 side - 1, x^2,
+    (x + start/n)^2, the n^2-th roots of unity e(k/n^2) and
+    steps[j, b] = e(j b/n) for j < span = 2r + 1.
+
+    rint(-a/n) is 0 for a <= n/2 and -1 above, so the axis is the run
+    v = start + k, k < side = n span, start = -floor((n - 1)/2) - n r.  The
+    roots are e(q/n) e(s/n^2), k = q n + s: 2n complex exponentials rather
+    than n^2.
+    """
+    span = 2 * radius + 1
+    side = n * span
+    start = -((n - 1) // 2) - n * radius
+    x = (start + np.arange(2 * side - 1)) / n
+    turns = 2j * math.pi * np.arange(n)
+    roots = np.multiply.outer(np.exp(turns / n), np.exp(turns / (n * n))).ravel()
+    steps = roots[n * np.outer(np.arange(span), np.arange(n)) % (n * n)]
+    arrays = x, x * x, (x + start / n) ** 2, roots, steps
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@cache
+def _level_tables(g: int, n: int):
+    """The gather of the level-n table, built once per (g, n) and read-only,
+    each at most MAX_CHARACTERISTICS entries: vecs, the numerators a of the
+    characteristics in index order; rows, the row of the summed table that
+    holds numerator a, the index of t = (a - start) mod n; and twiddle, the
+    exponent (start_0 + t).b at start_0 = -floor((n - 1)/2), that is at
+    radius 0 and zero shift, over (a, b)."""
+    vecs = enumerate_characteristics(g, n)[: n**g, g:]
+    pos = (vecs + (n - 1) // 2) % n
+    rows = pos @ n ** np.arange(g - 1, -1, -1)
+    twiddle = (pos - (n - 1) // 2) @ vecs.T
+    for array in (rows, twiddle):
+        array.setflags(write=False)
+    return vecs, rows, twiddle
 
 
 def _slab_weights(lo, hi, real, phase):

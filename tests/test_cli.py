@@ -655,6 +655,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, tau_file
     monkeypatch.setenv("COLUMNS", "80")
     argvs = [
         ["count", "--tau", tau_file, "--n", "3"],
+        # the level-3 tables are warm in this process, and cold in a fresh one
+        ["count", "--tau", tau_file, "--n", "3", "--table"],
         ["frobnicate"],
         ["count", "--tau", tau_file, "--tol", "abc"],
         ["--help"],
@@ -690,12 +692,12 @@ def test_import_builds_no_table():
         "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
         "from thetalab.matrices import build_M, build_kernel_form, build_kernel_projector\n"
         "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
-        "from thetalab.theta import product_rule_flags\n"
-        "tables += (build_kernel_projector, build_kernel_form, product_rule_flags)\n"
+        "from thetalab.theta import _axis_tables, _level_tables, product_rule_flags\n"
+        "tables += (build_kernel_projector, build_kernel_form, product_rule_flags, _axis_tables, _level_tables)\n"
         "print([t.cache_info().currsize for t in tables])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):

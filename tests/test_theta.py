@@ -127,6 +127,43 @@ def test_theta_table_quasi_periodic_reduction_every_level(n):
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_theta_table_at_a_lattice_point_is_the_constants_times_the_reduction_factor(g, n):
+    # z = tau m + m' reduces to z_red = 0, so entry (a, b) is the constant
+    # times exp(-i pi m^t tau m) e((a.m' - m.b)/n): the branch that reduces z
+    # against the one that skips the reduction at z = 0
+    tau = random_tau(g, 6)
+    rng = np.random.default_rng(10 * g + n)
+    m, m_prime = rng.choice([-2, -1, 1, 2], size=(2, g))
+    chars = enumerate_characteristics(g, n)
+    factor = np.exp(-1j * math.pi * (m @ tau.mat @ m) + 2j * math.pi * (chars[:, :g] @ m_prime - chars[:, g:] @ m) / n)
+    want = theta_table(tau, np.zeros(g), n).values * factor
+    got = theta_table(tau, tau.mat @ m + m_prime, n).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 6), (3, 2), (3, 3), (2, 14)])
+def test_theta_table_cached_tables_change_no_bit(g, n):
+    # the tables built once per (g, n) and per (n, r) are read-only, and a
+    # table summed from freshly built ones equals, bit for bit, one summed
+    # after other tables of the same level have read them, at z = 0 and at a
+    # z whose reduction shifts are nonzero
+    tau, other = random_tau(g, 2), random_tau(g, 3)
+    shifted = tau.mat @ np.array([1, -1, 1][:g]) + np.array([-1, 2, 1][:g]) + (0.1 - 0.05j)
+    for z, z_other in ((np.zeros(g), shifted), (shifted, np.zeros(g))):
+        theta._axis_tables.cache_clear()
+        theta._level_tables.cache_clear()
+        cold = theta_table(tau, z, n)
+        theta_table(other, z_other, n)
+        theta_table(other, z, n)
+        warm = theta_table(tau, z, n)
+        assert cold.values.tobytes() == warm.values.tobytes()
+        assert (cold.tail_bound, cold.radius_used) == (warm.tail_bound, warm.radius_used)
+        cached = [*theta._level_tables(g, n), *theta._axis_tables(n, warm.radius_used)]
+        assert not any(array.flags.writeable for array in cached)
+
+
 def test_theta_level_three_characteristic():
     tau = PeriodMatrix(np.array([[0.1 + 1.2j]]))
     # a||b = 1 2 in base 3
