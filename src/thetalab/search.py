@@ -75,25 +75,9 @@ class SearchReport:
 def submatrix_ranks(g: int, idx) -> np.ndarray:
     """The exact ranks of the principal submatrices B[S, S], one for each
     row S of the (n, k) index array idx, by one batch of exact_rank: the
-    tests' reference for the rank identity below and for the scan's ranks.
-
-    B = N N^t is positive semidefinite, so B[S, S] y = 0 iff y, padded with
-    zeros off S, lies in ker B, the column space of (Q, d) =
-    build_kernel_projector(g).  With T the complement of S, that gives rank
-    B[S, S] = k - d + rank Q[T, :], and rank Q[T, :] = rank Q[T, T] since
-    Q^2 = lambda Q with Q symmetric.  The batch is ranked in whichever
-    square form is smaller: k x k for B[S, S], (|K+| - k) x (|K+| - k) for
-    Q[T, T].
-    """
+    tests' reference for the screen, the scan and the trace-rank bounds."""
     b = build_B(g)
-    n, k = idx.shape
-    if 2 * k <= len(b):
-        return exact_rank(b[idx[:, :, None], idx[:, None, :]])
-    q, d = build_kernel_projector(g)
-    outside = np.ones((n, len(b)), dtype=bool)
-    outside[np.arange(n)[:, None], idx] = False
-    rest = np.nonzero(outside)[1].reshape(n, len(b) - k)
-    return k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])
+    return exact_rank(b[idx[:, :, None], idx[:, None, :]])
 
 
 def trace_rank_bounds(g: int) -> dict:
@@ -101,13 +85,14 @@ def trace_rank_bounds(g: int) -> dict:
     = 1..|K+| of S.
 
     With (Q, d) = build_kernel_projector(g), T the complement of S and t =
-    |K+| - k, rank B[S, S] = k - d + rank A for A = Q[T, T]
-    (`submatrix_ranks`).  Cauchy-Schwarz on the nonzero eigenvalues of the
-    real symmetric A gives rank A >= (tr A)^2 / tr A^2, the relative bound
-    for equiangular lines (Lemmens and Seidel, J. Algebra 24, 1973).  Every
-    diagonal entry of Q is D = 2^(g-1) + 1 and every other one is +-1,
-    checked entrywise (else VerificationError), so tr A = t D, tr A^2 = t D^2
-    + t (t - 1) and the bound is k - d + ceil(t D^2 / (D^2 + t - 1)).
+    |K+| - k, rank B[S, S] = k - d + rank A for A = Q[T, T], since the
+    columns of Q span ker B and Q^2 = lambda Q with Q symmetric.
+    Cauchy-Schwarz on the nonzero eigenvalues of the real symmetric A gives
+    rank A >= (tr A)^2 / tr A^2, the relative bound for equiangular lines
+    (Lemmens and Seidel, J. Algebra 24, 1973).  Every diagonal entry of Q is
+    D = 2^(g-1) + 1 and every other one is +-1, checked entrywise (else
+    VerificationError), so tr A = t D, tr A^2 = t D^2 + t (t - 1) and the
+    bound is k - d + ceil(t D^2 / (D^2 + t - 1)).
     """
     q, d = build_kernel_projector(g)
     diag = 2 ** (g - 1) + 1

@@ -61,8 +61,8 @@ class PeriodMatrix:
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("tau must be a square matrix")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValueError("tau must be a non-empty square matrix")
         if not np.isfinite(mat).all():
             raise ValueError("tau must be finite")
         if (np.abs(mat) > self.ENTRY_MAX).any():
@@ -85,9 +85,6 @@ class PeriodMatrix:
     @property
     def im(self):
         return self.mat.imag
-
-    def scaled(self, factor) -> "PeriodMatrix":
-        return PeriodMatrix(factor * self.mat)
 
     def to_json(self):
         return {
@@ -542,7 +539,7 @@ def m_count(tau: PeriodMatrix, y, tol: float = DEFAULT_TOL) -> int:
     return int((~flags).sum())
 
 
-def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
+def addition_residual(tau: PeriodMatrix, z) -> float:
     """Largest normalized residual of the level-2 addition formula
 
     theta[d;e](tau,0) theta[d;e](tau,2z)
@@ -555,10 +552,10 @@ def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
     """
     g = tau.g
     z = np.asarray(z, dtype=complex)
-    at0 = theta_table(tau, np.zeros(g), 2, tol).values.tolist()
-    at2z = theta_table(tau, z + z, 2, tol).values.tolist()
+    at0 = theta_table(tau, np.zeros(g), 2).values.tolist()
+    at2z = theta_table(tau, z + z, 2).values.tolist()
     # the index of a level-2 entry is a||b in binary, so theta[s; 0] sits at s 2^g
-    at2tau = theta_table(tau.scaled(2), z + z, 2, tol).values[:: 2**g].tolist()
+    at2tau = theta_table(PeriodMatrix(2 * tau.mat), z + z, 2).values[:: 2**g].tolist()
     worst = 0.0
     for i in range(4**g):
         a, b = i >> g, i & (2**g - 1)
@@ -569,7 +566,7 @@ def addition_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
     return worst
 
 
-def fay_relation_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> float:
+def fay_relation_residual(tau: PeriodMatrix, z) -> float:
     """Largest residual of sum_m v_m theta_m(tau,0)^2 theta_m(tau,2z)^2 over
     K_g^+, over all columns v of the block N; both tables are evaluated once."""
     g = tau.g
@@ -577,8 +574,8 @@ def fay_relation_residual(tau: PeriodMatrix, z, tol: float = DEFAULT_TOL) -> flo
     _, _, n = split_blocks(build_M(g))
     # the rows of N follow the canonical order of the even characteristics
     even = ~odd_mask(g)
-    at0 = theta_table(tau, np.zeros(g), 2, tol).values[even].tolist()
-    at2z = theta_table(tau, z + z, 2, tol).values[even].tolist()
+    at0 = theta_table(tau, np.zeros(g), 2).values[even].tolist()
+    at2z = theta_table(tau, z + z, 2).values[even].tolist()
     quartics = [t0 * t0 * t2 * t2 for t0, t2 in zip(at0, at2z)]
     worst = 0.0
     for column in n.T.tolist():

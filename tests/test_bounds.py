@@ -107,6 +107,13 @@ def test_decomposable_bound_rejects_empty():
         decomposable_bound([], 2)
 
 
+def test_bounds_refuse_a_genus_or_level_out_of_range():
+    with pytest.raises(ValueError, match="need g >= 1 and n >= 2"):
+        evaluate_bounds(0, 2)
+    with pytest.raises(ValueError, match="level n must be >= 2"):
+        decomposable_bound([1], 1)
+
+
 def test_compare_verdicts():
     verdicts = compare(6, evaluate_bounds(2, 2))
     assert all(v["verdict"] == "SATISFIED" for v in verdicts if v["status"] == "theorem")

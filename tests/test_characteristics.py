@@ -373,6 +373,13 @@ def test_orbits_size_cap(g, tuples):
         orbits(g, tuples)
 
 
+def test_orbits_and_parity_counts_refuse_out_of_range_input():
+    with pytest.raises(ValueError, match="tuples must be 1 or 2"):
+        orbits(2, 3)
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        count_parity(0)
+
+
 @pytest.mark.parametrize("g", [0, 9, 10**9])
 def test_generators_size_cap(g):
     with pytest.raises(ValueError):

@@ -713,3 +713,40 @@ def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):
     code, out, err = run(capsys, "count", "--tau", tau_file, "--n", "2", "--table")
     assert (code, out) == (2, "")
     assert "non-finite" in err
+
+
+def test_count_exits_3_on_the_band_offenders(capsys, tmp_path):
+    # generic g = 3 with Im tau scaled by 4 puts six constants in the
+    # undecidable band of the threshold policy.  This pins the refusal as it
+    # stands; certifying those constants would change it.
+    tau = random_tau(3, 0)
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(PeriodMatrix(tau.re + 4j * tau.im).to_json()))
+    offenders = ["110|110", "110|111", "111|000", "111|011", "111|101", "111|110"]
+    want = f"ambiguous: undecidable theta constants at characteristics {offenders}\n"
+    assert run(capsys, "count", "--tau", str(path), "--n", "2") == (3, "", want)
+
+
+@pytest.mark.parametrize(
+    "residual,what", [("fay_relation_residual", "quartic relation"), ("addition_residual", "addition formula")]
+)
+def test_verify_exits_4_on_a_residual_above_tolerance(capsys, monkeypatch, residual, what):
+    monkeypatch.setattr(cli_module, residual, lambda tau, z: 1.0)
+    want = f"verification failed: {what} residual above tolerance\n"
+    assert run(capsys, "verify", "--g", "2") == (4, "", want)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bounds", "--g", "3", "--n", "2", "--blocks", "1,1"], "--blocks must sum to g"),
+        (["bounds", "--g", "3", "--n", "2", "--tau"], "--tau dimension disagrees with --g"),
+        (["verify", "--g", "2", "--seed", "abc"], "thetalab verify: error: argument --seed: invalid int value: 'abc'"),
+    ],
+    ids=["blocks-sum", "tau-genus", "seed-text"],
+)
+def test_usage_errors_exit_2_with_their_message(capsys, tau_file, argv, message):
+    if argv[-1] == "--tau":
+        argv = argv + [tau_file]  # a genus-2 tau
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -204,18 +205,28 @@ def test_row_echelon_mod_p_matches_sympy_over_gf_p(p):
     check()
 
 
-def test_kernel_basis_screen_matches_exact_rank_at_every_order():
-    b = build_B(3)
-    q, d = build_kernel_projector(3)
-    kernel = q[:, build_kernel_form(3)[1]]
+def kernel_identity_masks():
+    """(g, idx): every mask of each order 1-10 at g = 2, then 12 seeded
+    masks of each order 8-35 at g = 3, as (m, k) index arrays."""
+    for k in range(1, 11):
+        yield 2, np.array(list(combinations(range(10), k)))
     rng = np.random.default_rng(11)
     for k in range(8, 36):
-        idx = np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
+        yield 3, np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
+
+
+def test_kernel_basis_screen_matches_exact_rank_at_every_order():
+    for g, idx in kernel_identity_masks():
+        b = build_B(g)
+        q, d = build_kernel_projector(g)
+        kernel = q[:, build_kernel_form(g)[1]]
+        k = idx.shape[1]
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
-        assert screen_ranks(3, idx).tolist() == want.tolist()
+        assert screen_ranks(g, idx).tolist() == want.tolist()
         # rank B[S, S] = k - d + rank G[T, :] = k - d + rank Q[T, T], T the
-        # complement of S: the identities the screen and submatrix_ranks rank by
-        rest = np.array([np.setdiff1d(np.arange(36), s) for s in idx])
+        # complement of S: the identities the screen ranks by and the
+        # trace-rank bound rests on
+        rest = np.array([np.setdiff1d(np.arange(len(b)), s) for s in idx])
         assert (k - d + exact_rank(kernel[rest])).tolist() == want.tolist()
         assert (k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])).tolist() == want.tolist()
 
@@ -453,6 +464,13 @@ def test_M_g1_explicit():
 def test_build_M_size_cap():
     with pytest.raises(ValueError):
         build_M(5)
+
+
+def test_build_L_size_cap_and_unknown_export_name():
+    with pytest.raises(ValueError, match="size cap: 3\\^g must be <= 256"):
+        build_L(6)
+    with pytest.raises(ValueError, match="unknown matrix X"):
+        export_json("X", 2)
 
 
 @pytest.mark.parametrize("build", [build_M, build_B, build_L, build_Bk])

@@ -63,6 +63,12 @@ def test_period_matrix_rejects_indefinite():
         PeriodMatrix(np.array([[-1j]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+def test_period_matrix_rejects_a_non_square_or_empty_array(shape):
+    with pytest.raises(ValueError, match="tau must be a non-empty square matrix"):
+        PeriodMatrix(1j * np.ones(shape))
+
+
 def test_period_matrix_json_roundtrip():
     tau = random_tau(2, 3)
     blob = json.dumps(tau.to_json())
