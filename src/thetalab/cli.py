@@ -28,6 +28,7 @@ from .errors import AmbiguousVanishingError, ThetaLabError, VerificationError
 from .matrices import build_B, build_Bk, build_L, export_json, verify_fay_spectrum
 from .search import h0_exhaustive, h0_probe
 from .theta import (
+    DEFAULT_TOL,
     PeriodMatrix,
     addition_residual,
     constant_table,
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count vanishing level-n theta constants")
     p.add_argument("--tau", required=True, help="period matrix JSON file")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--table", action="store_true", help="include the per-characteristic table")
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default=None)
     p.add_argument("--blocks", default=None, help="comma-separated block dimensions")
     p.add_argument("--assume-simple", action="store_true")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
     p = sub.add_parser("orbits", help="orbit partition of level-2 characteristics")

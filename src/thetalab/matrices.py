@@ -8,16 +8,14 @@ floating-point eigensolvers: every multiplicity by an annihilating polynomial
 2^(g-1)(2^g I - M+).  `batched_rank_mod_p` is the one elimination loop:
 every step runs along the batch axis, and residues are reduced only when
 they could reach p.  `exact_rank`, that loop mod as many primes as the
-Hadamard bound needs, serves the search's submatrices,
+Hadamard bound needs, serves the search's submatrices, and
 `build_kernel_projector` gives the search Q = M+ + 2^(g-1) I, a multiple of
-the projector onto ker B certified by M+'s spectrum, and
-`build_kernel_form` the systematic form of ker B mod 2^31 - 1 for the
-probe's screen, from one elimination of Q.
+the projector onto ker B certified by M+'s spectrum, whose principal minors
+mod 2^31 - 1 screen the probe's masks.
 
 Every matrix is an int64 numpy array, built and verified once per g and
 returned read-only, so callers share it; the rank loop eliminates in a
-private copy.  Entries stay below 2^(2g+1), far inside int64, but for the
-systematic form's residues, below 2^31.
+private copy.  Entries stay below 2^(2g+1), far inside int64.
 """
 
 from __future__ import annotations
@@ -295,54 +293,6 @@ def build_kernel_projector(g: int):
     mp = split_blocks(build_M(g))[0]
     d = spectrum(mp, fay_multiplicities(g)["M+"])[2**g]
     return _frozen(mp + 2 ** (g - 1) * np.eye(len(mp), dtype=np.int64)), d
-
-
-def _row_echelon_mod_p(mat, p: int):
-    """(R, pivots): the reduced row echelon form mod the prime p < 2^31 of an
-    integer matrix, by one Gauss-Jordan pass, and its pivot columns in
-    increasing order; products of two residues stay below 2^62."""
-    r = np.asarray(mat, dtype=np.int64) % p
-    pivots = []
-    for col in range(r.shape[1]):
-        row = len(pivots)
-        nonzero = np.flatnonzero(r[row:, col])
-        if not len(nonzero):
-            continue
-        r[[row, row + nonzero[0]]] = r[[row + nonzero[0], row]]
-        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
-        factor = r[:, col].copy()
-        factor[row] = 0
-        r = (r - factor[:, None] * r[row]) % p
-        pivots.append(col)
-    return r, np.array(pivots, dtype=np.int64)
-
-
-@cache
-def build_kernel_form(g: int):
-    """Systematic form of ker B mod PRIMES[0]: (F, rows), F = G T^-1 mod p
-    with (Q, d) = build_kernel_projector(g), rows the leftmost d columns of
-    Q independent mod p, G = Q[:, rows] and T = Q[rows, rows].
-
-    Q is symmetric, so F is the transpose of the first d rows of Q's
-    reduced row echelon form mod p, T^-1 Q[rows, :], and rows are its
-    pivots: one elimination.  G is a basis of ker B, F[rows] is the d x d
-    identity, and F has the rank of G mod p on every set of rows, since T
-    is invertible mod p.  So for a set S with complement R and c =
-    |rows ∩ S|, rank_p G[R, :] = (d - c) + rank_p F[R - rows, rows ∩ S]:
-    the unit rows of R ∩ rows clear their columns, and what is left is a
-    block of at most (|K+| - d) x c.  Verified, else VerificationError: d
-    pivots, and entrywise F[rows] = I and F T = G mod p, whose products
-    stay below d (2^(g-1) + 1) 2^31, inside int64.
-    """
-    q, d = build_kernel_projector(g)
-    p = PRIMES[0]
-    echelon, rows = _row_echelon_mod_p(q, p)
-    if len(rows) != d:
-        raise VerificationError(f"Q for g={g} has {len(rows)} pivots mod {p}, not {d}")
-    form = np.ascontiguousarray(echelon[:d].T)
-    _require_entrywise(form[rows], np.eye(d, dtype=np.int64), f"F[rows] = I for g={g}")
-    _require_entrywise((form @ q[np.ix_(rows, rows)] - q[:, rows]) % p, 0, f"F T = G mod {p} for g={g}")
-    return _frozen(form), _frozen(rows)
 
 
 def kron_multiplicities(g: int) -> dict:

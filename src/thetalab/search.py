@@ -16,14 +16,15 @@ build_Bk's identity B_k = 2^(g-1)(2^g I - L) and the spectrum certificate of
 L.  So h0(2) = 9 and h0(3) = 27.
 
 At g = 3 a seeded probe screens batches of uniform masks of one random
-order below 27, each drawn as one array, mod the prime 2^31 - 1 through the
-systematic form of the kernel basis G = Q[:, I], I the d leftmost columns
-of Q independent mod p (`screen_ranks`), one elimination of a small block
-per value of c = |I ∩ S|; the form is the identity on the rows I.  A rank
-mod p is a lower bound on the rational rank, so no true witness can be
-screened out; a candidate whose screened slack is <= 0 is confirmed with
-`exact_rank`, and a confirmed witness would contradict the certificate.
-Floating point is never involved.
+order below 27, each drawn as one array with its complement in random
+order, by principal minors of Q on the complement (`screen_ranks`): rank
+Q[T, T] is at least the rank mod 2^31 - 1 of Q[T', T'] for T' the first s
+entries of T, s = 8, 9, 10, each larger s on the masks still below rank 8.
+Any 10 rows of Q have rank at least 8 by the trace-rank bound, so past 10
+rows a mask stays open only if the prime divides a minor.  A candidate
+whose screened slack is <= 0 is confirmed with `exact_rank`, and a
+confirmed witness would contradict the certificate.  Floating point is
+never involved.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VerificationError
-from .matrices import (
-    PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_form, build_kernel_projector, exact_rank,
-)
-
-MOD_P = PRIMES[0]  # 2^31 - 1
+from .matrices import PRIMES, batched_rank_mod_p, build_B, build_Bk, build_kernel_projector, exact_rank
 
 
 @dataclass
@@ -102,6 +99,12 @@ def trace_rank_bounds(g: int) -> dict:
     return {k: k - d - (-(len(q) - k) * sq // (sq + len(q) - k - 1)) for k in range(1, len(q) + 1)}
 
 
+def certified_h0(g: int) -> int:
+    """The least order k that trace_rank_bounds leaves open, its bound at
+    most k - 2^g."""
+    return max(k for k, low in trace_rank_bounds(g).items() if low > k - 2**g) + 1
+
+
 def certify(report: SearchReport) -> None:
     """Fill in report.h0, its infeasible orders and one note from
     trace_rank_bounds, given its witness of order report.h0_upper.
@@ -113,8 +116,7 @@ def certify(report: SearchReport) -> None:
     """
     g = report.g
     need = 2**g
-    bounds = trace_rank_bounds(g)
-    h0 = max(k for k, low in bounds.items() if low > k - need) + 1
+    h0 = certified_h0(g)
     if report.h0_upper != h0:
         raise VerificationError(
             f"the trace-rank certificate gives h0 = {h0} at g={g}, the witness order {report.h0_upper}"
@@ -195,43 +197,39 @@ def h0_exhaustive(g: int = 2) -> SearchReport:
     return report
 
 
-def screen_ranks(g: int, idx) -> np.ndarray:
+def screen_ranks(g: int, rest) -> np.ndarray:
     """Lower bounds on the rational ranks of the principal submatrices
-    B[S, S], one for each row S of the (n, k) index array idx: k - d +
-    rank G[S^c, :] with the rank of the kernel basis G = Q[:, rows] taken
-    mod MOD_P, through the systematic form (F, rows) = build_kernel_form(g).
+    B[S, S], one for each row T of the (n, t) array rest of the complements
+    of masks S of order k = |K+| - t: k - d + rank Q[T', T'] mod PRIMES[0],
+    T' the first s entries of T, with (Q, d) = build_kernel_projector(g).
 
-    With c = |rows ∩ S|, rank_p G[S^c, :] = (d - c) + rank_p F[S^c - rows,
-    rows ∩ S], so rank B[S, S] is at least k - c plus the rank of that
-    (|K+| - k - d + c) x c block.  Masks of one c give blocks of one shape,
-    so each value of c is one batched_rank_mod_p call.
+    rank B[S, S] = k - d + rank Q[T, T], so S is a witness iff rank Q[T, T]
+    <= d - 2^g, and rank Q[T, T] is at least the rank mod p of any principal
+    submatrix.  s runs from d - 2^g + 1, the first size that can rule S out,
+    to |K+| - h0 + 1, the size whose rank the trace-rank bound puts above d -
+    2^g; each larger s ranks only the masks still at or below d - 2^g.
     """
-    form, rows = build_kernel_form(g)
-    n, k = idx.shape
-    inside = np.zeros((n, len(form)), dtype=bool)
-    inside[np.arange(n)[:, None], idx] = True
-    chosen = inside[:, rows]  # rows ∩ S, as columns of F
-    rest = ~inside
-    rest[:, rows] = False  # S^c - rows, as rows of F
-    counts = chosen.sum(axis=1)
-    ranks = k - counts
-    for c in np.unique(counts).tolist():
-        group = np.flatnonzero(counts == c)
-        cols = np.nonzero(chosen[group])[1].reshape(len(group), c)
-        keep = np.nonzero(rest[group])[1].reshape(len(group), -1)
-        ranks[group] += batched_rank_mod_p(form[keep[:, :, None], cols[:, None, :]], MOD_P)
-    return ranks
+    q, d = build_kernel_projector(g)
+    most = d - 2**g  # the largest rank Q[T, T] of a witness
+    ranks = np.zeros(len(rest), dtype=np.int64)
+    live = np.arange(len(rest))
+    for s in range(most + 1, len(q) - certified_h0(g) + 2):
+        minors = rest[live, :s]
+        ranks[live] = batched_rank_mod_p(q[minors[:, :, None], minors[:, None, :]], PRIMES[0])
+        live = live[ranks[live] <= most]
+    return len(q) - rest.shape[1] - d + ranks
 
 
-def sample_masks(rng, orders, size: int, m: int) -> np.ndarray:
-    """m uniform subsets of range(size), all of one order drawn from orders,
-    as an (m, k) array of sorted rows."""
+def sample_masks(rng, orders, size: int, m: int):
+    """(masks, rest): m uniform subsets of range(size), all of one order k
+    drawn from orders, as an (m, k) array of sorted rows, and their
+    complements, as an (m, size - k) array in random order."""
     k = int(rng.choice(orders))
     perms = rng.permuted(np.broadcast_to(np.arange(size), (m, size)), axis=1)
-    return np.sort(perms[:, :k], axis=1)
+    return np.sort(perms[:, :k], axis=1), perms[:, k:]
 
 
-BATCH = 4096  # the most masks the probe draws and screens at once
+BATCH = 2048  # the most masks the probe draws and screens at once
 
 
 def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport:
@@ -266,9 +264,9 @@ def h0_probe(g: int = 3, budget: int = 1_000_000, seed: int = 0) -> SearchReport
     rng = np.random.default_rng(seed)
     orders = np.arange(need, report.h0)
     while report.budget_used < budget:
-        masks = sample_masks(rng, orders, len(b), min(BATCH, budget - report.budget_used))
+        masks, rest = sample_masks(rng, orders, len(b), min(BATCH, budget - report.budget_used))
         k = masks.shape[1]
-        slack = screen_ranks(g, masks) - (k - need)
+        slack = screen_ranks(g, rest) - (k - need)
         report.budget_used += len(masks)
         for mask in masks[slack <= 0].tolist():
             rank = exact_rank(b[np.ix_(mask, mask)])

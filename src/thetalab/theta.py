@@ -70,13 +70,11 @@ class PeriodMatrix:
         if np.max(np.abs(mat - mat.T)) > self.SYMMETRY_TOL:
             raise ValueError("tau must be symmetric (entrywise 1e-12)")
         mat = (mat + mat.T) / 2
-        try:
-            np.linalg.cholesky(mat.imag)
-        except np.linalg.LinAlgError:
-            raise ValueError("Im tau must be positive definite") from None
+        self.lam_min = float(np.linalg.eigvalsh(mat.imag)[0])
+        if not self.lam_min > 0:
+            raise ValueError("Im tau must be positive definite")
         self.mat = mat
         self.g = mat.shape[0]
-        self.lam_min = float(np.linalg.eigvalsh(mat.imag)[0])
 
     @property
     def re(self):

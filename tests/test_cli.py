@@ -690,14 +690,14 @@ def test_import_builds_no_table():
     code = (
         "import thetalab.cli\n"
         "from thetalab.characteristics import characteristic_keys, enumerate_characteristics, generator_permutations\n"
-        "from thetalab.matrices import build_M, build_kernel_form, build_kernel_projector\n"
+        "from thetalab.matrices import build_M, build_kernel_projector\n"
         "tables = (enumerate_characteristics, characteristic_keys, generator_permutations, build_M)\n"
         "from thetalab.theta import _axis_tables, _level_tables, product_rule_flags\n"
-        "tables += (build_kernel_projector, build_kernel_form, product_rule_flags, _axis_tables, _level_tables)\n"
+        "tables += (build_kernel_projector, product_rule_flags, _axis_tables, _level_tables)\n"
         "print([t.cache_info().currsize for t in tables])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0, 0, 0]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0, 0]\n", "")
 
 
 def test_count_refuses_a_non_finite_constant(capsys, tau_file, monkeypatch):
@@ -750,3 +750,11 @@ def test_usage_errors_exit_2_with_their_message(capsys, tau_file, argv, message)
         argv = argv + [tau_file]  # a genus-2 tau
     code, out, err = run(capsys, *argv)
     assert (code, out, err.splitlines()[-1]) == (2, "", message)
+
+
+@pytest.mark.parametrize("im", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]], ids=["singular", "indefinite"])
+def test_count_refuses_an_im_tau_that_is_not_positive_definite(capsys, tmp_path, im):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"g": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": im}))
+    want = f"cannot read period matrix from {path}: Im tau must be positive definite\n"
+    assert run(capsys, "count", "--tau", str(path), "--n", "2") == (2, "", want)

@@ -17,14 +17,12 @@ from thetalab.matrices import (
     PRIMES,
     TRIPLE,
     _require_entrywise,
-    _row_echelon_mod_p,
     batched_rank_mod_p,
     bk_selection,
     build_B,
     build_Bk,
     build_L,
     build_M,
-    build_kernel_form,
     build_kernel_projector,
     exact_rank,
     export_json,
@@ -34,7 +32,6 @@ from thetalab.matrices import (
     split_blocks,
     verify_fay_spectrum,
 )
-from thetalab.search import screen_ranks
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -191,20 +188,6 @@ def test_batched_rank_mod_p_matches_sympy_over_gf_p(p):
     check()
 
 
-@pytest.mark.parametrize("p", [PRIMES[0], 7])
-def test_row_echelon_mod_p_matches_sympy_over_gf_p(p):
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(integer_batches(p))
-    def check(mats):
-        for m in mats:
-            want, pivots = DomainMatrix.from_list(m.tolist(), ZZ).convert_to(GF(p)).rref()
-            got, got_pivots = _row_echelon_mod_p(m, p)
-            assert got_pivots.tolist() == list(pivots)
-            assert got.tolist() == [[int(x) % p for x in row] for row in want.to_Matrix().tolist()]
-
-    check()
-
-
 def kernel_identity_masks():
     """(g, idx): every mask of each order 1-10 at g = 2, then 12 seeded
     masks of each order 8-35 at g = 3, as (m, k) index arrays."""
@@ -215,20 +198,15 @@ def kernel_identity_masks():
         yield 3, np.sort([rng.choice(36, size=k, replace=False) for _ in range(12)], axis=1)
 
 
-def test_kernel_basis_screen_matches_exact_rank_at_every_order():
+def test_rank_identity_on_the_complement_matches_direct_ranks():
+    # rank B[S, S] = k - d + rank Q[T, T], T the complement of S: the
+    # identity the screen and the trace-rank bound rest on
     for g, idx in kernel_identity_masks():
         b = build_B(g)
         q, d = build_kernel_projector(g)
-        kernel = q[:, build_kernel_form(g)[1]]
-        k = idx.shape[1]
         want = exact_rank(b[idx[:, :, None], idx[:, None, :]])
-        assert screen_ranks(g, idx).tolist() == want.tolist()
-        # rank B[S, S] = k - d + rank G[T, :] = k - d + rank Q[T, T], T the
-        # complement of S: the identities the screen ranks by and the
-        # trace-rank bound rests on
         rest = np.array([np.setdiff1d(np.arange(len(b)), s) for s in idx])
-        assert (k - d + exact_rank(kernel[rest])).tolist() == want.tolist()
-        assert (k - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])).tolist() == want.tolist()
+        assert (idx.shape[1] - d + exact_rank(q[rest[:, :, None], rest[:, None, :]])).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("g,d", [(1, 2), (2, 5), (3, 15), (4, 51)])
@@ -243,19 +221,9 @@ def test_kernel_projector_certifies_ker_B(g, d):
     assert (np.abs(q[~np.eye(len(q), dtype=bool)]) == 1).all()
 
 
-@pytest.mark.parametrize("g,d", [(1, 2), (2, 5), (3, 15)])
-def test_kernel_basis_spans_ker_B(g, d):
-    # G = Q[:, rows], the basis whose systematic form the screen ranks
-    kernel = build_kernel_projector(g)[0][:, build_kernel_form(g)[1]]
-    b = build_B(g)
-    assert kernel.shape == (len(b), d)
-    assert not (b @ kernel).any()
-    assert exact_rank(kernel) == d == len(b) - exact_rank(b)
-
-
 @pytest.fixture
 def fresh_kernel():
-    caches = (build_B, build_kernel_projector, build_kernel_form)
+    caches = (build_B, build_kernel_projector)
     for built in caches:
         built.cache_clear()
     yield
@@ -263,7 +231,7 @@ def fresh_kernel():
         built.cache_clear()
 
 
-def test_kernel_basis_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel):
+def test_kernel_projector_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel):
     # M+ perturbed at (0, 0) once B is built: Q^2 = lambda Q, hence B Q = 0,
     # fails
     build_B(3)
@@ -274,15 +242,7 @@ def test_kernel_basis_refuses_columns_outside_ker_B(monkeypatch, fresh_kernel):
         build_kernel_projector(3)
 
 
-def test_kernel_basis_refuses_a_rank_short_of_d(monkeypatch, fresh_kernel):
-    # a dimension of 16 claimed for ker B, one more than the rank of Q
-    q, d = build_kernel_projector(3)
-    monkeypatch.setattr(matrices, "build_kernel_projector", lambda g: (q, d + 1))
-    with pytest.raises(VerificationError, match="Q for g=3 has 15 pivots mod 2147483647, not 16"):
-        build_kernel_form(3)
-
-
-def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_kernel):
+def test_kernel_projector_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_kernel):
     # N = 0 makes B = 0, whose kernel is everything; build_B's identity fails
     def zero_n(m):
         mp, mm, n = split_blocks(m)
@@ -291,50 +251,6 @@ def test_kernel_basis_refuses_a_kernel_of_B_larger_than_d(monkeypatch, fresh_ker
     monkeypatch.setattr(matrices, "split_blocks", zero_n)
     with pytest.raises(VerificationError, match="B = 2\\^\\(g-1\\)\\(2\\^g I - M\\+\\) for g=3 fails"):
         build_kernel_projector(3)
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_kernel_form_is_the_systematic_form_of_G(g):
-    form, rows = build_kernel_form(g)
-    q, d = build_kernel_projector(g)
-    p = PRIMES[0]
-    assert form.shape == (len(q), d) and 0 <= form.min() and form.max() < p
-    assert np.array_equal(form[rows], np.eye(d, dtype=np.int64))
-    assert not ((form @ q[np.ix_(rows, rows)] - q[:, rows]) % p).any()
-    # rows are the leftmost columns of Q independent mod p: each other
-    # column lies in the span of the columns to its left
-    ranks = batched_rank_mod_p(np.tri(len(q), dtype=np.int64)[:, None, :] * q, p)
-    assert np.flatnonzero(np.diff(ranks, prepend=0)).tolist() == rows.tolist()
-
-
-def test_kernel_form_refuses_too_few_independent_rows(monkeypatch, fresh_kernel):
-    build_kernel_projector(3)
-    monkeypatch.setattr(matrices, "_row_echelon_mod_p", lambda mat, p: (mat % p, np.arange(14)))
-    with pytest.raises(VerificationError, match="has 14 pivots"):
-        build_kernel_form(3)
-
-
-def _no_elimination(mat, p):
-    return mat % p, _row_echelon_mod_p(mat, p)[1]
-
-
-def _one_wrong_entry(mat, p):
-    r, pivots = _row_echelon_mod_p(mat, p)
-    # off the pivot columns, so F[rows] = I still holds
-    r[0, np.setdiff1d(np.arange(r.shape[1]), pivots)[0]] += 1
-    return r, pivots
-
-
-@pytest.mark.parametrize(
-    "echelon,match",
-    [(_no_elimination, "F\\[rows\\] = I for g=3 fails"), (_one_wrong_entry, "F T = G mod 2147483647 for g=3 fails")],
-    ids=["no-elimination", "one-wrong-entry"],
-)
-def test_kernel_form_refuses_a_wrong_echelon_form(monkeypatch, fresh_kernel, echelon, match):
-    build_kernel_projector(3)
-    monkeypatch.setattr(matrices, "_row_echelon_mod_p", echelon)
-    with pytest.raises(VerificationError, match=match):
-        build_kernel_form(3)
 
 
 def test_eigen_multiplicity_diag():
@@ -668,13 +584,11 @@ def test_matrices_are_built_once_per_genus():
     assert build_L(3) is build_L(3)
     assert build_Bk(3)[0] is build_Bk(3)[0]
     assert build_kernel_projector(3)[0] is build_kernel_projector(3)[0]
-    assert build_kernel_form(3)[0] is build_kernel_form(3)[0]
 
 
 def _cached_matrices(g):
     m = build_M(g)
-    q, form = build_kernel_projector(g)[0], build_kernel_form(g)[0]
-    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], q, form]
+    return [m, *split_blocks(m), build_B(g), build_L(g), build_Bk(g)[0], build_kernel_projector(g)[0]]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -690,13 +604,9 @@ def test_cached_matrices_are_read_only(g):
     after = _cached_matrices(g)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
     # the cached values still satisfy the verified identities
-    m, mp, _, n, b, l, bk, q, form = after
+    m, mp, _, n, b, l, bk, q = after
     assert np.array_equal(m @ m, 4**g * np.eye(4**g, dtype=np.int64))
     assert np.array_equal(b, n @ n.T)
     assert np.array_equal(b, 2 ** (g - 1) * (2**g * np.eye(len(mp), dtype=np.int64) - mp))
     assert np.array_equal(bk, 2 ** (g - 1) * (2**g * np.eye(3**g, dtype=np.int64) - l))
     assert np.array_equal(q @ q, 3 * 2 ** (g - 1) * q) and not (b @ q).any()
-    rows = build_kernel_form(g)[1]
-    with pytest.raises(ValueError):
-        rows[0] = 7
-    assert not ((form @ q[np.ix_(rows, rows)] - q[:, rows]) % PRIMES[0]).any()

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from thetalab import search
 from thetalab.errors import VerificationError
-from thetalab.matrices import batched_rank_mod_p, build_B, build_Bk, build_kernel_form, build_kernel_projector, exact_rank
+from thetalab.matrices import build_B, build_Bk, build_kernel_projector, exact_rank
 from thetalab.search import (
-    MOD_P,
     gram_ranks,
     h0_exhaustive,
     h0_probe,
@@ -104,36 +103,40 @@ def test_h0_probe_output_pinned(budget, seed):
 def test_sampled_batches_hold_sorted_distinct_masks_of_one_order():
     rng = np.random.default_rng(3)
     orders = np.arange(8, 27)
-    for m in [0, 1, 2, 4096] + rng.integers(1, 300, size=40).tolist():
-        masks = sample_masks(rng, orders, 36, m)
+    for m in [0, 1, 2, 2048] + rng.integers(1, 300, size=40).tolist():
+        masks, rest = sample_masks(rng, orders, 36, m)
         assert masks.shape[0] == m and 8 <= masks.shape[1] < 27
         assert (np.diff(masks, axis=1) > 0).all()
         assert m == 0 or (masks.min() >= 0 and masks.max() < 36)
+        # each rest is the complement of its mask
+        assert rest.shape == (m, 36 - masks.shape[1])
+        assert (np.sort(np.hstack([masks, rest]), axis=1) == np.arange(36)).all()
     # uniform: each index lies in about k/36 of the masks of order k
-    masks = sample_masks(np.random.default_rng(4), [12], 36, 36000)
+    masks, _ = sample_masks(np.random.default_rng(4), [12], 36, 36000)
     counts = np.bincount(masks.ravel(), minlength=36)
     p = 12 / 36
     assert np.abs(counts - 36000 * p).max() < 5 * np.sqrt(36000 * p * (1 - p))
 
 
 @pytest.fixture
-def screened(monkeypatch):
-    """The index arrays the probe hands to screen_ranks, in order."""
+def sampled(monkeypatch):
+    """The mask arrays sample_masks draws for the probe, in order."""
     batches = []
-    screen = search.screen_ranks
+    sample = search.sample_masks
 
-    def spy(g, idx):
-        batches.append(idx.copy())
-        return screen(g, idx)
+    def spy(rng, orders, size, m):
+        masks, rest = sample(rng, orders, size, m)
+        batches.append(masks.copy())
+        return masks, rest
 
-    monkeypatch.setattr(search, "screen_ranks", spy)
+    monkeypatch.setattr(search, "sample_masks", spy)
     return batches
 
 
-def test_probe_batches_are_sorted_distinct_masks_of_one_order(screened):
+def test_probe_batches_are_sorted_distinct_masks_of_one_order(sampled):
     h0_probe(3, budget=6000, seed=11)
-    assert sum(map(len, screened)) == 6000
-    for idx in screened:
+    assert [len(idx) for idx in sampled] == [2048, 2048, 1904]
+    for idx in sampled:
         assert 8 <= idx.shape[1] < 27
         assert (np.diff(idx, axis=1) > 0).all()
         assert idx.min() >= 0 and idx.max() < 36
@@ -217,46 +220,68 @@ def test_gram_ranks_refuse_a_rank_above_the_gram_matrix():
         gram_ranks(b, r + 1)
 
 
-def test_screen_ranks_are_exact_on_every_g2_mask():
-    # all 1023 masks: every c = |rows ∩ S| from 0 to 5, and empty blocks at k = 10
+def screen_cases():
+    """(g, masks, rest): every mask of each order at g = 2, then 300 seeded
+    masks of each order 8-26 at g = 3, with their complements."""
     for k in range(1, 11):
-        idx = np.array(list(combinations(range(10), k)))
-        assert screen_ranks(2, idx).tolist() == submatrix_ranks(2, idx).tolist()
-
-
-def two_form_screen(idx):
-    """The genus-3 screen before the systematic form: B[S, S] up to order 16,
-    k - 15 + rank G[S^c, :] from order 17 on, ranked mod 2^31 - 1."""
-    b, kernel = build_B(3), build_kernel_projector(3)[0][:, build_kernel_form(3)[1]]
-    n, k = idx.shape
-    if k <= 16:
-        return batched_rank_mod_p(b[idx[:, :, None], idx[:, None, :]], MOD_P)
-    rest = np.array([np.setdiff1d(np.arange(36), mask) for mask in idx]).reshape(n, 36 - k)
-    return k - 15 + batched_rank_mod_p(kernel[rest], MOD_P)
-
-
-def test_screen_ranks_match_the_two_form_screen_at_g3():
+        masks = np.array(list(combinations(range(10), k)))
+        yield 2, masks, np.array([np.setdiff1d(np.arange(10), mask) for mask in masks])
     rng = np.random.default_rng(12)
-    for k in range(8, 28):
-        idx = sample_masks(rng, [k], 36, 300)
-        assert screen_ranks(3, idx).tolist() == two_form_screen(idx).tolist()
+    for k in range(8, 27):
+        yield 3, *sample_masks(rng, [k], 36, 300)
+
+
+def test_screen_ranks_bound_the_exact_ranks_and_keep_their_slack_sign():
+    for g, masks, rest in screen_cases():
+        k = masks.shape[1]
+        exact = submatrix_ranks(g, masks)
+        screen = screen_ranks(g, rest)
+        assert (screen <= exact).all()
+        # open exactly where a witness is: orders 9-10 at g = 2, none at g = 3
+        assert (screen > k - 2**g).tolist() == (exact > k - 2**g).tolist()
+
+
+def bk_complement():
+    """(sel, rest): the sorted B_k witness of order 27 and its complement."""
+    sel = np.sort(build_Bk(3)[1])
+    return sel, np.setdiff1d(np.arange(36), sel)
 
 
 def test_screen_ranks_are_exact_on_rank_deficient_masks():
-    # the B_k witness (order 27, rank 19), subsets of it of orders 20-26 and
-    # the witness plus one index
+    # the B_k witness (order 27, rank 19), the witness plus one index, and
+    # the witness less one index with the witness's complement first
     b = build_B(3)
-    sel = np.sort(build_Bk(3)[1])
-    rng = np.random.default_rng(13)
-    subsets = [np.sort(rng.choice(sel, size=k, replace=False)) for k in range(20, 27) for _ in range(3)]
-    bigger = [np.sort(np.append(sel, i)) for i in np.setdiff1d(np.arange(36), sel)]
-    for mask in [sel, *subsets, *bigger]:
-        assert screen_ranks(3, mask[None]).tolist() == [exact_rank(b[np.ix_(mask, mask)])]
-    assert screen_ranks(3, sel[None]).tolist() == [19]
+    sel, rest = bk_complement()
+    cases = [(sel, rest)]
+    cases += [(np.sort(np.append(sel, i)), np.setdiff1d(rest, i)) for i in rest]
+    cases += [(np.delete(sel, j), np.append(rest, sel[j])) for j in range(0, 27, 5)]
+    for mask, comp in cases:
+        assert screen_ranks(3, comp[None]).tolist() == [exact_rank(b[np.ix_(mask, mask)])]
+
+
+def test_screen_ranks_rank_minors_of_8_9_and_10_rows(monkeypatch):
+    # the complement of B_k has rank 7 in Q, so a T that starts with it
+    # stays open at 8 and 9 rows and is ruled out at 10, by the trace-rank
+    # bound; the B_k complement itself stays open with rank 19
+    sel, rest = bk_complement()
+    shapes = []
+    rank = search.batched_rank_mod_p
+
+    def spy(mats, p):
+        shapes.append(mats.shape)
+        return rank(mats, p)
+
+    monkeypatch.setattr(search, "batched_rank_mod_p", spy)
+    ruled_out = np.append(rest, sel[0])
+    assert screen_ranks(3, ruled_out[None]).tolist() == [26 - 15 + 8]
+    assert shapes == [(1, 8, 8), (1, 9, 9), (1, 10, 10)]
+    shapes.clear()
+    assert screen_ranks(3, rest[None]).tolist() == [19]
+    assert shapes == [(1, 8, 8), (1, 9, 9), (1, 9, 9)]
 
 
 def test_screen_ranks_of_an_empty_batch():
-    assert screen_ranks(3, np.zeros((0, 12), dtype=np.int64)).shape == (0,)
+    assert screen_ranks(3, np.zeros((0, 24), dtype=np.int64)).shape == (0,)
 
 
 def test_h0_exhaustive_g2():
@@ -280,28 +305,28 @@ def test_h0_exhaustive_rejects_g3():
         h0_exhaustive(3)
 
 
-def test_h0_probe_certificates_and_determinism(screened):
+def test_h0_probe_certificates_and_determinism(sampled):
     r1 = h0_probe(3, budget=4000, seed=7)
-    first = [idx.tolist() for idx in screened]
-    screened.clear()
+    first = [idx.tolist() for idx in sampled]
+    sampled.clear()
     r2 = h0_probe(3, budget=4000, seed=7)
     assert r1.h0 == r1.h0_upper == 27
     assert r1.orders_certified_infeasible == list(range(1, 27))
     assert r1.budget_used == 4000
     assert r1.to_json() == r2.to_json()
-    assert [idx.tolist() for idx in screened] == first
+    assert [idx.tolist() for idx in sampled] == first
     # the certified witness is the strictly-even selection, exact rank 19
     b = build_B(3)
     w = r1.witnesses[0]
     assert exact_rank(b[np.ix_(w, w)]) == 19
 
 
-def test_h0_probe_seed_changes_trajectory(screened):
+def test_h0_probe_seed_changes_trajectory(sampled):
     h0_probe(3, budget=4000, seed=1)
-    first = screened[0].tolist()
-    screened.clear()
+    first = sampled[0].tolist()
+    sampled.clear()
     h0_probe(3, budget=4000, seed=2)
-    assert screened[0].tolist() != first
+    assert sampled[0].tolist() != first
 
 
 def test_trace_rank_bounds_equal_the_g2_scan_minima():
@@ -312,7 +337,7 @@ def test_trace_rank_bounds_hold_on_sampled_g3_masks():
     bounds = trace_rank_bounds(3)
     rng = np.random.default_rng(14)
     for k in range(8, 36):
-        idx = sample_masks(rng, [k], 36, 50)
+        idx, _ = sample_masks(rng, [k], 36, 50)
         assert (submatrix_ranks(3, idx) >= bounds[k]).all()
     # the witness order is the first the bound leaves open, and B_k meets it
     assert bounds[26] > 26 - 8 and bounds[27] == 19
@@ -337,7 +362,7 @@ def test_certify_refuses_a_witness_the_bound_does_not_meet():
 def test_h0_probe_refuses_a_confirmed_witness(monkeypatch):
     # a screen that passes every mask and an exact rank of 0 stand in for a
     # witness below order 27, which the certificate rules out
-    monkeypatch.setattr(search, "screen_ranks", lambda g, idx: np.full(len(idx), idx.shape[1] - 8))
+    monkeypatch.setattr(search, "screen_ranks", lambda g, rest: np.full(len(rest), 36 - rest.shape[1] - 8))
     monkeypatch.setattr(search, "exact_rank", lambda mat: 0)
     with pytest.raises(VerificationError, match="below the certified h0 = 27"):
         h0_probe(3, budget=5, seed=0)

@@ -59,8 +59,10 @@ def test_period_matrix_rejects_asymmetric():
 
 
 def test_period_matrix_rejects_indefinite():
-    with pytest.raises(ValueError):
-        PeriodMatrix(np.array([[-1j]]))
+    # negative, singular and indefinite Im tau
+    for im in [[[-1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]]:
+        with pytest.raises(ValueError, match="^Im tau must be positive definite$"):
+            PeriodMatrix(1j * np.array(im))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
