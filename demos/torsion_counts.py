@@ -34,7 +34,7 @@ print()
 print("== the full constant table at g = 2 ==")
 table = constant_table(random_tau(2, 7), 2)
 col = table.columns()
-for char, margin, vanishing in zip(col["char"], col["margin"], col["vanishing"]):
+for char, margin, vanishing in zip(col["char"], table.margins, col["vanishing"]):
     mark = "vanishes" if vanishing else f"margin {margin:.3g}"
     print(f"  theta[{char}] : {mark}")
 

@@ -98,9 +98,11 @@ def _seed(text) -> int:
 
 # one entry of the count --table list as json.dumps(sort_keys=True, indent=2)
 # prints it at depth 2; %r is float.__repr__, the spelling json uses for the
-# finite floats a ConstantTable holds
+# finite floats a ConstantTable holds.  An entry holds no derived float: its
+# magnitude is |value| and its margin |value| / max_magnitude, and float
+# formatting is most of the time count --table takes
 TABLE_ENTRY = (
-    '    {\n      "char": "%s",\n      "magnitude": %r,\n      "margin": %r,\n'
+    '    {\n      "char": "%s",\n'
     '      "value": [\n        %r,\n        %r\n      ],\n      "vanishing": %s\n    }'
 )
 
@@ -108,7 +110,7 @@ TABLE_ENTRY = (
 def _table_json(col) -> str:
     """The "table" list of count --table JSON, rendered from the table's columns."""
     flags = ["true" if f else "false" for f in col["vanishing"]]
-    rows = zip(col["char"], col["magnitude"], col["margin"], col["value_re"], col["value_im"], flags)
+    rows = zip(col["char"], col["value_re"], col["value_im"], flags)
     return "[\n" + ",\n".join([TABLE_ENTRY % row for row in rows]) + "\n  ]"
 
 

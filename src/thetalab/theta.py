@@ -490,7 +490,8 @@ class ConstantTable:
         return AmbiguousVanishingError(f"{what} at characteristics {names}", offenders=offenders)
 
     def to_json(self):
-        """Theta(n) with the decision margins of the vanishing classification."""
+        """Theta(n) with the decision margins of the vanishing classification
+        and the largest magnitude, which the margins are relative to."""
         margins = self.margins
         nonvan = margins[~self.flags]
         van = margins[self.flags]
@@ -498,6 +499,7 @@ class ConstantTable:
             "theta_n": self.count,
             "n": self.n,
             "g": self.tau.g,
+            "max_magnitude": self.max_magnitude,
             "margins": {
                 "min_nonvanishing": float(nonvan.min()) if nonvan.size else math.inf,
                 "max_vanishing": float(van.max()) if van.size else 0.0,
@@ -507,12 +509,11 @@ class ConstantTable:
 
     def columns(self):
         """The table as plain Python lists, one per field, in index order:
-        the keys, magnitudes, margins, the real and imaginary parts of the
-        values, and the vanishing flags."""
+        the keys, the real and imaginary parts of the values, and the
+        vanishing flags.  Magnitudes and margins are left out: each is
+        |value|, or |value| / max_magnitude, which to_json() reports."""
         return {
             "char": list(characteristic_keys(self.tau.g, self.n)),
-            "magnitude": self.magnitudes.tolist(),
-            "margin": self.margins.tolist(),
             "value_re": self.values.real.tolist(),
             "value_im": self.values.imag.tolist(),
             "vanishing": self.flags.tolist(),

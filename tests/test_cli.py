@@ -548,12 +548,20 @@ def test_count_csv_rows_are_flat(capsys, tau_file, table):
     assert not any("{" in cell or "[" in cell for r in rows for cell in r)
     header = rows[0]
     if table:
-        assert {"char", "value_re", "value_im", "vanishing"} <= set(header)
+        assert header == ["char", "value_im", "value_re", "vanishing"]
         assert sum(r[header.index("vanishing")] == "True" for r in rows[1:]) == 6
     else:
+        assert header == [
+            "certified",
+            "g",
+            "max_magnitude",
+            "max_vanishing_margin",
+            "min_nonvanishing_margin",
+            "n",
+            "theta_n",
+        ]
         record = dict(zip(header, rows[1]))
         assert record["theta_n"] == "6"
-        assert {"min_nonvanishing_margin", "max_vanishing_margin"} <= set(header)
 
 
 @pytest.mark.parametrize("table", [False, True])
@@ -577,22 +585,24 @@ def reference_entries(table):
         {
             "char": d[:g] + "|" + d[g:],
             "value": [float(v.real), float(v.imag)],
-            "magnitude": float(m),
-            "margin": float(m / table.max_magnitude),
             "vanishing": bool(f),
         }
-        for d, v, m, f in zip(digits, table.values, table.magnitudes, table.flags)
+        for d, v, f in zip(digits, table.values, table.flags)
     ]
 
 
-# diagonal tau gives odd constants that are exact or signed zeros
+def family_tau(kind, g):
+    """The generic tau random_tau(g, 0), or a diagonal tau, whose odd
+    constants are exact or signed zeros."""
+    if kind == "generic":
+        return random_tau(g, 0)
+    return PeriodMatrix(np.diag([k * (0.2 + 1j) + 0.1j for k in range(1, g + 1)]))
+
+
 @pytest.mark.parametrize("kind", ["generic", "diagonal"])
 @pytest.mark.parametrize("g,n", [(1, 2), (2, 2), (2, 6), (3, 2), (3, 3)])
 def test_count_table_prints_the_json_encoding(capsys, tmp_path, g, n, kind):
-    if kind == "generic":
-        tau = random_tau(g, 0)
-    else:
-        tau = PeriodMatrix(np.diag([k * (0.2 + 1j) + 0.1j for k in range(1, g + 1)]))
+    tau = family_tau(kind, g)
     path = write_tau(tmp_path, tau.mat)
     table = constant_table(tau, n)
     entries = reference_entries(table)
@@ -609,6 +619,31 @@ def test_count_table_prints_the_json_encoding(capsys, tmp_path, g, n, kind):
         _emit(rows, fmt)
         want = capsys.readouterr().out
         assert run(capsys, "count", "--tau", path, "--n", str(n), "--table", "--format", fmt) == (0, want, "")
+
+
+# the (g, n) levels count-mix runs
+COUNTS = [(2, 2), (3, 2), (2, 6), (3, 3)]
+
+
+@pytest.mark.parametrize("kind", ["generic", "diagonal"])
+@pytest.mark.parametrize("g,n", COUNTS)
+def test_count_table_magnitudes_and_margins_derive_from_its_values(capsys, tmp_path, g, n, kind):
+    # the rows print no magnitude or margin; repr round-trips, so |value| and
+    # |value| / max_magnitude of the parsed output give the margins exactly
+    path = write_tau(tmp_path, family_tau(kind, g).mat)
+    code, out, err = run(capsys, "count", "--tau", path, "--n", str(n), "--table")
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert all(sorted(e) == ["char", "value", "vanishing"] for e in blob["table"])
+    values = np.array([e["value"] for e in blob["table"]])
+    mags = np.abs(values[:, 0] + 1j * values[:, 1])
+    flags = np.array([e["vanishing"] for e in blob["table"]])
+    assert blob["max_magnitude"] == mags.max()
+    margins = mags / blob["max_magnitude"]
+    assert blob["margins"] == {
+        "min_nonvanishing": margins[~flags].min() if (~flags).any() else float("inf"),
+        "max_vanishing": margins[flags].max() if flags.any() else 0.0,
+    }
 
 
 def test_the_package_run_as_a_module_prints_what_main_prints(capsys, tau_file):

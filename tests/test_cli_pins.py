@@ -2,14 +2,17 @@
 
 cli_pins.json holds, for each invocation in INVOCATIONS, the part of its
 stdout that holds no float: export-matrix, orbits --full, h0 and bounds whole; the name
-and pass of each verify claim; theta_n, certified, the char keys and the
-indices of the vanishing entries of count --table; and the whole stdout of an
-invocation that exits nonzero, which is empty.  A text longer than
-TEXT_LIMIT characters is pinned by its sha256.  Floats are left out, so that
-their last digits may change while these stay fixed.
+and pass of each verify claim; theta_n, certified, the char keys, the
+indices of the vanishing entries, the sorted top-level keys and the sorted
+keys of a table entry of count --table, so that a change of its schema shows
+as a pin diff; and the whole stdout of an invocation that exits nonzero,
+which is empty.  A text longer than TEXT_LIMIT characters is pinned by its
+sha256.  Floats are left out, so that their last digits may change while
+these stay fixed.
 
 After an intended output change, regenerate the file with
-`PYTHONPATH=src python tests/test_cli_pins.py > tests/cli_pins.json`.
+`PYTHONPATH=src python tests/test_cli_pins.py > tests/cli_pins.json`, and
+check with `git diff tests/cli_pins.json` that only the intended fields moved.
 """
 
 import contextlib
@@ -84,6 +87,8 @@ def observe(invocation, directory):
             "certified": blob["certified"],
             "char": text_or_digest(" ".join(e["char"] for e in blob["table"])),
             "vanishing": [i for i, e in enumerate(blob["table"]) if e["vanishing"]],
+            "keys": sorted(blob),
+            "entry_keys": sorted(blob["table"][0]),
         }
     else:
         pinned = text_or_digest(out)
